@@ -1,35 +1,38 @@
 """Brute-force oracle: enumerate and count pattern-avoiding permutations.
 
-The search builds one-line prefixes left to right, trying unused values in
-ascending order, and prunes a branch as soon as the prefix contains a
-forbidden pattern.  Pruning is sound because containment is monotone under
-prefix extension, and the ascending value order makes the enumeration output
-lexicographic by construction.
+The search walks West's generating tree.  A node is a standardized prefix, a
+permutation of 1..m; its children append a new last entry into one of the
+m + 1 rank gaps, where gap g gives the new entry the value g + 1 and raises
+every entry above g by one.  Every permutation of length m + 1 has exactly
+one parent (drop the last entry and standardize), and containment is monotone
+under prefix extension and invariant under standardization, so a branch is
+pruned as soon as its prefix contains a forbidden pattern and every avoider
+of every length up to n is visited exactly once.  Leaves are collected and
+sorted, so enumeration output is lexicographic.
 
 Pruning never rescans the whole prefix against whole patterns.  For a pattern
-of length k, an occurrence created by appending v must end at v, so its other
-k-1 entries form a (k-1)-subset of the prefix; for each such subset the set of
-completing values v is a value interval determined by the subset's sorted
-values and the rank of the pattern's last entry.  Those intervals are
-accumulated into a single forbidden-value bitmask that is passed down the
-tree, making the per-child test a couple of integer operations.  Patterns of
+of length k, an occurrence created by appending an entry must end at it, so
+its other k-1 entries form a (k-1)-subset of the prefix; for each such subset
+the gaps that complete an occurrence form an interval determined by the
+subset's sorted values and the rank of the pattern's last entry.  Those
+intervals are accumulated into a single forbidden-gap bitmask that is passed
+down the tree, making the per-child test a couple of integer operations.
+Inserting into gap g splits that gap around the new entry, so the child's
+mask copies bits 0..g, duplicates bit g and shifts the bits above g up by
+one before the subsets ending at the new entry are folded in.  Patterns of
 length 5 or more are rare here and use a direct matcher per candidate instead.
 
-``count_table`` performs a single search at n_max and tallies surviving
-prefixes per depth: the number of length-m prefixes equals C(n_max, m) times
-the number of avoiders of length m, because a prefix is any m-subset of values
-arranged in any avoiding relative order.  Dividing out the binomial gives the
-whole table from one pass (the identity is itself under test in the suite).
+``count_table`` performs a single search at n_max; the number of nodes at
+depth m is |S_m(T)|, so the per-depth tally is the whole table.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .perms import Perm, PatternSet
+from .perms import Perm, PatternSet, pattern_set
 
 
 @dataclass(frozen=True)
@@ -142,67 +145,76 @@ def _ends_long(pre: list[int], v: int, pat: Perm) -> bool:
 
 
 def _run_main(n: int, comp: _Compiled, collect: bool):
-    """One pruned search.  Returns (tally per depth, avoiders or None)."""
-    full = (1 << (n + 1)) - 2
+    """One generating-tree search.  Returns (count per length, leaves or None)."""
     tally = [0] * (n + 1)
     out: Optional[list[Perm]] = [] if collect else None
-    pre: list[int] = []
     asc2, desc2 = comp.asc2, comp.desc2
     bp_asc, bp_desc = comp.pair_asc, comp.pair_desc
     has3, has4 = comp.has3, comp.has4
     bc = comp.by_class
     long_pats = comp.long_pats
+    up4 = bc[0] or bc[2] or bc[4]
+    down4 = bc[1] or bc[3] or bc[5]
 
-    def rec(used: int, depth: int, forb: int) -> None:
+    def rec(pre: list[int], depth: int, forb: int) -> None:
         tally[depth] += 1
         if depth == n:
             if collect:
                 out.append(tuple(pre))
             return
-        allowed = full & ~used & ~forb
+        # a child has depth + 1 entries and so depth + 2 gaps
+        full = (1 << (depth + 2)) - 1
+        allowed = ((1 << (depth + 1)) - 1) & ~forb
         while allowed:
             bit = allowed & -allowed
             allowed -= bit
-            v = bit.bit_length() - 1
+            g = bit.bit_length() - 1
+            v = g + 1
+            child = [x + 1 if x > g else x for x in pre]
             if long_pats:
                 hit = False
                 for pat in long_pats:
-                    if _ends_long(pre, v, pat):
+                    if _ends_long(child, v, pat):
                         hit = True
                         break
                 if hit:
                     continue
+            # gap g splits around v: bits above g move up one, bit g is copied
+            nf = (forb & ((bit << 1) - 1)) | ((forb >> g) << v)
             # fold the subsets ending at v into the child's forbidden mask
-            nf = forb
+            below_v = (1 << v) - 1
             if asc2:
-                nf |= full & ~((1 << (v + 1)) - 1)
+                nf |= full & ~below_v
             if desc2:
-                nf |= (1 << v) - 2
+                nf |= below_v
             if has3:
-                for x in pre:
+                for x in child:
                     if x < v:
                         rm = bp_asc
                         if rm:
                             if rm & 1:
-                                nf |= (1 << x) - 2
+                                nf |= (1 << x) - 1
                             if rm & 2:
-                                nf |= ((1 << v) - 1) ^ ((1 << (x + 1)) - 1)
+                                nf |= below_v ^ ((1 << x) - 1)
                             if rm & 4:
-                                nf |= full & ~((1 << (v + 1)) - 1)
+                                nf |= full & ~below_v
                     else:
                         rm = bp_desc
                         if rm:
                             if rm & 1:
-                                nf |= (1 << v) - 2
+                                nf |= below_v
                             if rm & 2:
-                                nf |= ((1 << x) - 1) ^ ((1 << (v + 1)) - 1)
+                                nf |= ((1 << x) - 1) ^ below_v
                             if rm & 4:
-                                nf |= full & ~((1 << (x + 1)) - 1)
+                                nf |= full & ~((1 << x) - 1)
             if has4 and depth >= 2:
                 for j in range(1, depth):
-                    y = pre[j]
+                    y = child[j]
+                    # skip y when no length-4 class with this order of y and v is forbidden
+                    if not (up4 if v > y else down4):
+                        continue
                     for i in range(j):
-                        x = pre[i]
+                        x = child[i]
                         if x < y:
                             if v > y:
                                 rm = bc[0]
@@ -225,36 +237,35 @@ def _run_main(n: int, comp: _Compiled, collect: bool):
                                 b1, b2, b3 = v, y, x
                         if rm:
                             if rm & 1:
-                                nf |= (1 << b1) - 2
+                                nf |= (1 << b1) - 1
                             if rm & 2:
-                                nf |= ((1 << b2) - 1) ^ ((1 << (b1 + 1)) - 1)
+                                nf |= ((1 << b2) - 1) ^ ((1 << b1) - 1)
                             if rm & 4:
-                                nf |= ((1 << b3) - 1) ^ ((1 << (b2 + 1)) - 1)
+                                nf |= ((1 << b3) - 1) ^ ((1 << b2) - 1)
                             if rm & 8:
-                                nf |= full & ~((1 << (b3 + 1)) - 1)
-            pre.append(v)
-            rec(used | bit, depth + 1, nf)
-            pre.pop()
+                                nf |= full & ~((1 << b3) - 1)
+            child.append(v)
+            rec(child, depth + 1, nf)
 
-    rec(0, 0, 0)
+    rec([], 0, 0)
     return tally, out
 
 
-def _normalize(t: Iterable[Sequence[int]]) -> PatternSet:
-    return frozenset(tuple(p) for p in t)
-
-
 def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
-    """All members of S_n avoiding every pattern in t, in lexicographic order."""
+    """All members of S_n avoiding every pattern in t, in lexicographic order.
+
+    Raises ValueError if a member of t is not a permutation.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    patterns = _normalize(t)
+    patterns = pattern_set(t)
     comp = _Compiled(patterns)
     if comp.has_empty:
         return []
     if comp.has_single:
         return [()] if n == 0 else []
     _, out = _run_main(n, comp, collect=True)
+    out.sort()
     return out
 
 
@@ -269,20 +280,19 @@ def _compute_counts(patterns: PatternSet, n_max: int) -> tuple[int, ...]:
     if comp.has_single:
         return tuple([1] + [0] * n_max)
     tally, _ = _run_main(n_max, comp, collect=False)
-    counts = []
-    for m, z in enumerate(tally):
-        c = comb(n_max, m)
-        if z % c:
-            raise RuntimeError("prefix tally not divisible by C(n, m); search is inconsistent")
-        counts.append(z // c)
-    return tuple(counts)
+    return tuple(tally)
 
 
 def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
-    """Counts |S_n(T)| for n = 0..n_max, from a single pruned search."""
+    """Counts |S_n(T)| for n = 0..n_max, from a single generating-tree search.
+
+    The search visits each avoider of each length n <= n_max exactly once, so
+    the number of nodes at depth n is the count itself.  Raises ValueError if
+    a member of t is not a permutation.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    patterns = _normalize(t)
+    patterns = pattern_set(t)
     cached = _TABLE_CACHE.get(patterns)
     if cached is None or len(cached) <= n_max:
         cached = _compute_counts(patterns, n_max)
@@ -306,7 +316,7 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
     Results come back in input order regardless of the worker count, and are
     merged into the in-process memo so later lookups are free.
     """
-    normalized = [_normalize(t) for t in sets]
+    normalized = [pattern_set(t) for t in sets]
     if jobs is None or jobs <= 1:
         return [count_table(t, n_max) for t in normalized]
     todo = [t for t in set(normalized) if len(_TABLE_CACHE.get(t, ())) <= n_max]

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import Perm, PatternSet, all_permutations, contains
+from .perms import Perm, PatternSet, _occurrence, all_permutations, contains, standardize
 
 
 def pattern_words(tau: Sequence[int], m: int) -> frozenset[tuple[int, ...]]:
@@ -40,10 +40,10 @@ def superpatterns(tau: Sequence[int], m: int) -> PatternSet:
     >>> len(superpatterns((1, 3, 2), 4))
     10
     """
-    tau = tuple(tau)
+    tau = standardize(tau)
     if m < len(tau):
         raise ValueError(f"length {m} is smaller than the pattern length {len(tau)}")
-    return frozenset(p for p in all_permutations(m) if contains(p, tau))
+    return frozenset(p for p in all_permutations(m) if _occurrence(p, tau) is not None)
 
 
 @dataclass(frozen=True)

@@ -116,14 +116,15 @@ def _occurrence(perm: Perm, pattern: Perm) -> Optional[tuple[int, ...]]:
 def contains(perm: Perm, pattern: Perm) -> bool:
     """True iff some subsequence of ``perm`` is order-isomorphic to ``pattern``.
 
-    Every permutation contains the empty pattern.
+    Every permutation contains the empty pattern.  The pattern may be any
+    word with distinct letters; one with a repeated letter raises ValueError.
 
     >>> contains((1, 2, 3, 4), (1, 2, 3))
     True
     >>> contains((3, 2, 1), (1, 2))
     False
     """
-    return _occurrence(tuple(perm), tuple(pattern)) is not None
+    return _occurrence(tuple(perm), standardize(pattern)) is not None
 
 
 def find_occurrence(perm: Perm, pattern: Perm) -> Optional[tuple[int, ...]]:
@@ -136,11 +137,7 @@ def find_occurrence(perm: Perm, pattern: Perm) -> Optional[tuple[int, ...]]:
     >>> find_occurrence((1, 4, 2, 3), (1, 3, 2))
     (1, 2, 3)
     """
-    return _occurrence(tuple(perm), tuple(pattern))
-
-
-def avoids(perm: Perm, pattern: Perm) -> bool:
-    return not contains(perm, pattern)
+    return _occurrence(tuple(perm), standardize(pattern))
 
 
 def avoids_all(perm: Perm, patterns: Iterable[Perm]) -> bool:
@@ -152,7 +149,7 @@ def avoids_all(perm: Perm, patterns: Iterable[Perm]) -> bool:
     False
     """
     p = tuple(perm)
-    return all(_occurrence(p, tuple(pat)) is None for pat in patterns)
+    return all(_occurrence(p, standardize(pat)) is None for pat in patterns)
 
 
 def all_permutations(n: int):

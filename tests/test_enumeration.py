@@ -3,15 +3,19 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpat.enumeration import (
+    _TABLE_CACHE,
     count_avoiders,
     count_table,
     count_tables,
     enumerate_avoiders,
     insert_max,
 )
-from permpat.perms import all_permutations, avoids_all, contains, parse_pattern_set
+from permpat.lifting import superpatterns
+from permpat.perms import all_permutations, avoids_all, contains, find_occurrence, parse_pattern_set
 from permpat.symmetry import orbit
 
 from conftest import naive_avoiders
@@ -80,14 +84,56 @@ def test_random_mixed_sets_match_naive():
             assert enumerate_avoiders(n, t) == naive_avoiders(n, t)
 
 
+PATTERNS = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
+PATTERN_SETS = st.frozensets(PATTERNS, min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(PATTERN_SETS)
+def test_random_sets_match_naive(t):
+    table = count_table(t, 6).counts
+    for n in range(7):
+        naive = naive_avoiders(n, t)
+        assert enumerate_avoiders(n, t) == naive
+        assert table[n] == len(naive)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.lists(PATTERN_SETS, min_size=1, max_size=4))
+def test_count_tables_pool_matches_serial_from_cold_cache(sets):
+    _TABLE_CACHE.clear()
+    pooled = count_tables(sets, 6, jobs=2)
+    _TABLE_CACHE.clear()
+    serial = count_tables(sets, 6, jobs=1)
+    assert [ct.counts for ct in pooled] == [ct.counts for ct in serial]
+
+
+def test_malformed_patterns_rejected():
+    # the oracle reads pattern entries as ranks, so a non-permutation must raise
+    with pytest.raises(ValueError):
+        count_table({(2, 4, 3), (1, 2, 3)}, 6)
+    with pytest.raises(ValueError):
+        count_table({(1, 3, 3, 5, 4)}, 6)
+    with pytest.raises(ValueError):
+        contains((1, 2, 3), (5, 5))
+    with pytest.raises(ValueError):
+        enumerate_avoiders(4, [(2, 4, 3)])
+    with pytest.raises(ValueError):
+        find_occurrence((1, 2, 3), (5, 5))
+    with pytest.raises(ValueError):
+        avoids_all((1, 2, 3), [(5, 5)])
+    with pytest.raises(ValueError):
+        superpatterns((5, 5), 3)
+
+
 def test_table_matches_direct_enumeration_per_n():
-    # the one-pass table divides prefix tallies by C(n_max, m); check the
-    # division against direct per-length enumeration
+    # the one-pass table reads every length off the depths of one search at
+    # n_max; check each length against the naive oracle
     for lit in ("132", "123;3412", "132;213;2341", "2143;1234"):
         t = parse_pattern_set(lit)
         ct = count_table(t, 7)
         for n in range(8):
-            assert ct.counts[n] == len(enumerate_avoiders(n, t))
+            assert ct.counts[n] == len(naive_avoiders(n, t))
 
 
 def test_long_patterns():
