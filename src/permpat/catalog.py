@@ -64,7 +64,7 @@ from .perms import (
     pattern_set_key,
     sym_group,
 )
-from .symmetry import orbit
+from .symmetry import SymmetryOrbit, orbit, partition_into_classes
 
 P123, P132, P213, P231, P312, P321 = (
     (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
@@ -374,7 +374,7 @@ def table_of(s: PatternSet) -> Optional[int]:
     return min(len(threes), 4)
 
 
-def _entry_for(row: TableRow, s: PatternSet) -> CatalogEntry:
+def _entry_for(row: TableRow, s: PatternSet, representative: PatternSet) -> CatalogEntry:
     formula, valid_from = row.formula, row.valid_from
     if row.per_set is not None:
         formula, valid_from = row.per_set(s)
@@ -384,7 +384,7 @@ def _entry_for(row: TableRow, s: PatternSet) -> CatalogEntry:
         if family is not None:
             formula = ExplicitFamily(family)
     return CatalogEntry(
-        representative=orbit(s).representative,
+        representative=representative,
         claimed_class_size=row.claimed_size,
         formula=formula,
         valid_from=valid_from,
@@ -395,8 +395,13 @@ def _entry_for(row: TableRow, s: PatternSet) -> CatalogEntry:
     )
 
 
-def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
-    """Map each set to the entry whose row condition it satisfies (or None)."""
+def _representatives(classes: Iterable[SymmetryOrbit]) -> dict[PatternSet, PatternSet]:
+    return {m: o.representative for o in classes for m in o.members}
+
+
+def _assign(
+    universe: Iterable[PatternSet], representative: dict[PatternSet, PatternSet]
+) -> dict[PatternSet, Optional[CatalogEntry]]:
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
     for s in universe:
         tid = table_of(s)
@@ -407,8 +412,14 @@ def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")
-        out[s] = _entry_for(hits[0], s) if hits else None
+        out[s] = _entry_for(hits[0], s, representative[s]) if hits else None
     return out
+
+
+def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
+    """Map each set to the entry whose row condition it satisfies (or None)."""
+    universe = list(universe)
+    return _assign(universe, _representatives(partition_into_classes(universe)))
 
 
 def classify(t: Iterable[Perm], n_max: int) -> tuple[Optional[CatalogEntry], CountTable]:
@@ -580,8 +591,9 @@ def _fit_conjecture(counts: tuple[int, ...]) -> Optional[str]:
     return None
 
 
-def _check_pair(s: PatternSet, entry: Optional[CatalogEntry], n_max: int) -> PairCheck:
-    counts = count_table(s, n_max).counts
+def _check_pair(
+    s: PatternSet, entry: Optional[CatalogEntry], counts: tuple[int, ...], n_max: int
+) -> PairCheck:
     if entry is None:
         return PairCheck(
             pattern_set=s, row_id=None, valid_from=None, counts=counts,
@@ -610,14 +622,26 @@ def _check_pair(s: PatternSet, entry: Optional[CatalogEntry], n_max: int) -> Pai
 
 
 def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
-    """Compare every covered pair against the oracle and audit the tables."""
+    """Compare every covered pair against the oracle and audit the tables.
+
+    The four table universes are partitioned once into reverse/inverse orbits
+    (283 of them for the 1,512 sets).  The oracle searches one representative per
+    orbit, spreading those searches over ``jobs`` worker processes, and every
+    member is given its representative's count table: avoider counts are
+    invariant on an orbit (Simion-Schmidt).  The counts are shared only here;
+    ``count_table`` and ``classify`` always search the set they are given.
+    The formula, threshold, class-size and explicit-family set checks still
+    run on every member.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     started = time.perf_counter()
     universes = {tid: expand_universe(tid) for tid in (1, 2, 3, 4)}
-    assignments = {tid: assign_entries(u) for tid, u in universes.items()}
-    all_sets = [s for u in universes.values() for s in u]
-    count_tables(all_sets, n_max, jobs)
+    orbits = partition_into_classes(s for u in universes.values() for s in u)
+    representatives = _representatives(orbits)
+    assignments = {tid: _assign(u, representatives) for tid, u in universes.items()}
+    tables = count_tables([o.representative for o in orbits], n_max, jobs)
+    counts = {m: table.counts for o, table in zip(orbits, tables) for m in o.members}
 
     pairs: dict[PatternSet, PairCheck] = {}
     audits: list[TableAudit] = []
@@ -636,7 +660,7 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
         uncovered: list[PairCheck] = []
         covered = 0
         for s in universe:
-            check = _check_pair(s, assignment[s], n_max)
+            check = _check_pair(s, assignment[s], counts[s], n_max)
             pairs[s] = check
             if check.row_id is None:
                 uncovered.append(check)

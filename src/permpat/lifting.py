@@ -15,16 +15,27 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import Perm, PatternSet, _occurrence, all_permutations, contains, standardize
+from .perms import (
+    Perm,
+    PatternSet,
+    _occurrence,
+    all_permutations,
+    check_permutation,
+    contains,
+    pattern_set,
+    standardize,
+)
 
 
 def pattern_words(tau: Sequence[int], m: int) -> frozenset[tuple[int, ...]]:
     """All length-k words with distinct letters from 1..m order-isomorphic to tau.
 
+    Raises ValueError if tau is not a permutation.
+
     >>> sorted(pattern_words((1, 3, 2), 4))
     [(1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 4, 3)]
     """
-    tau = tuple(tau)
+    tau = check_permutation(tau)
     k = len(tau)
     if m < k:
         raise ValueError(f"alphabet bound {m} is smaller than the pattern length {k}")
@@ -62,8 +73,11 @@ def _uniform_length(t: PatternSet) -> int:
 
 
 def lift(t: Iterable[Sequence[int]]) -> NuImage:
-    """Union of superpatterns(tau, k+1) over tau in t (empty set maps to empty)."""
-    source = frozenset(tuple(p) for p in t)
+    """Union of superpatterns(tau, k+1) over tau in t (empty set maps to empty).
+
+    Raises ValueError if a member of t is not a permutation.
+    """
+    source = pattern_set(t)
     if not source:
         return NuImage(source, frozenset())
     k = _uniform_length(source)

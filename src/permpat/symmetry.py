@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perms import Perm, PatternSet, format_pattern_set, pattern_set_key
+from .perms import Perm, PatternSet, format_pattern_set, pattern_set, pattern_set_key
 
 GENERATORS = "ri"
 
@@ -92,12 +92,13 @@ def orbit(t: Iterable[Sequence[int]]) -> SymmetryOrbit:
 
     The representative is the orbit member minimal under (set cardinality,
     sorted pattern list, patterns ordered by length then lexicographically).
+    Raises ValueError if a member of t is not a permutation.
 
     >>> o = orbit([(1, 2, 3)])
     >>> sorted(format_pattern_set(m) for m in o.members)
     ['123', '321']
     """
-    start = frozenset(tuple(p) for p in t)
+    start = pattern_set(t)
     seen = {start}
     frontier = [start]
     while frontier:

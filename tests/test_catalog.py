@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permpat import catalog, enumeration
 from permpat.catalog import (
     EXPLICIT_FAMILY_SETS,
     TABLE_ROWS,
@@ -11,8 +12,10 @@ from permpat.catalog import (
     table_of,
     verify,
 )
+from permpat.enumeration import _TABLE_CACHE, count_table
 from permpat.formulas import FAMILY_REGISTRY
 from permpat.perms import format_pattern_set, parse_pattern_set, pattern_set_key
+from permpat.symmetry import partition_into_classes
 
 from conftest import naive_avoiders
 
@@ -152,3 +155,56 @@ def test_uncovered_pairs_get_conjectures():
     for pair in report.table(4).uncovered:
         assert pair.conjecture is not None
         assert "0 (n>=3)" in pair.conjecture
+
+
+def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):
+    # verify searches one set per orbit and hands its counts to the other
+    # members; a fresh search on every one of the 1,512 sets must agree
+    searched = []
+    compute = enumeration._compute_counts
+
+    def spy(patterns, n_max):
+        searched.append(patterns)
+        return compute(patterns, n_max)
+
+    findings_start = []
+    build_findings = catalog._build_findings
+
+    def mark(*args):
+        findings_start.append(len(searched))
+        return build_findings(*args)
+
+    monkeypatch.setattr(enumeration, "_compute_counts", spy)
+    monkeypatch.setattr(catalog, "_build_findings", mark)
+    universe = [s for tid in (1, 2, 3, 4) for s in expand_universe(tid)]
+    representatives = {o.representative for o in partition_into_classes(universe)}
+    _TABLE_CACHE.clear()
+    report = verify(7)
+    members = set(universe)
+    before_findings = [s for s in searched[: findings_start[0]] if s in members]
+    assert len(before_findings) == len(representatives) == 283
+    assert set(before_findings) == representatives
+
+    _TABLE_CACHE.clear()
+    assert len(report.pairs) == len(universe) == 1512
+    for s in universe:
+        assert report.pairs[s].counts == count_table(s, 7).counts
+
+
+def test_verify_report_independent_of_jobs_and_cache():
+    def body(report):
+        blob = report.to_json_dict()
+        del blob["elapsed_seconds"], blob["jobs"]
+        return blob
+
+    _TABLE_CACHE.clear()
+    cold = body(verify(7, jobs=1))
+    _TABLE_CACHE.clear()
+    pooled = body(verify(7, jobs=2))
+    _TABLE_CACHE.clear()
+    # two members that are not their orbit's representative, then one that is
+    for literal in ("2143;231;312;321", "1234;231;312", "132;213;4231"):
+        count_table(parse_pattern_set(literal), 9)
+    warm = body(verify(7))
+    assert pooled == cold
+    assert warm == cold

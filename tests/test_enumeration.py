@@ -18,7 +18,7 @@ from permpat.lifting import superpatterns
 from permpat.perms import all_permutations, avoids_all, contains, find_occurrence, parse_pattern_set
 from permpat.symmetry import orbit
 
-from conftest import naive_avoiders
+from conftest import PATTERN_SETS, naive_avoiders
 
 S3 = list(all_permutations(3))
 S4 = list(all_permutations(4))
@@ -82,10 +82,6 @@ def test_random_mixed_sets_match_naive():
         t = rng.sample(S3, rng.randint(0, 2)) + rng.sample(S4, rng.randint(1, 2))
         for n in range(6):
             assert enumerate_avoiders(n, t) == naive_avoiders(n, t)
-
-
-PATTERNS = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
-PATTERN_SETS = st.frozensets(PATTERNS, min_size=1, max_size=3)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpat.enumeration import count_avoiders, enumerate_avoiders
 from permpat.lifting import is_redundant, lift, lift_power, pattern_words, superpatterns
@@ -67,6 +69,23 @@ def test_lift_power():
     assert len(closure) == 120 - 42
     with pytest.raises(ValueError):
         lift_power([(1, 2, 3)], 0)
+
+
+def test_pattern_words_and_lift_reject_malformed_patterns():
+    with pytest.raises(ValueError):
+        pattern_words((2, 4, 3), 5)
+    with pytest.raises(ValueError):
+        lift({(2, 4, 3)})
+    with pytest.raises(ValueError):
+        lift_power({(1, 3, 3)}, 2)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sets(st.sampled_from(sorted(all_permutations(3))), min_size=1), st.integers(4, 7))
+def test_lift_identity_random_subsets(t, n):
+    # every occurrence of a length-3 pattern extends to one of a length-4
+    # superpattern once n >= 4, so T and lift(T) have the same avoiders
+    assert enumerate_avoiders(n, t) == enumerate_avoiders(n, lift(t).image)
 
 
 def test_lift_preserves_avoiders_small():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permpat.enumeration import count_avoiders
+from permpat.enumeration import count_avoiders, count_table
 from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set
 from permpat.symmetry import (
     apply_op,
@@ -12,6 +14,8 @@ from permpat.symmetry import (
     partition_into_classes,
     reverse,
 )
+
+from conftest import PATTERN_SETS, naive_avoiders
 
 
 def test_reverse_examples():
@@ -122,3 +126,23 @@ def test_orbit_json_report():
     blob = o.to_json_dict()
     assert blob["size"] == len(blob["members"]) == 2
     assert blob["representative"] in blob["members"]
+
+
+def test_orbit_rejects_malformed_patterns():
+    # the generators read entries as values, so a non-permutation must raise
+    with pytest.raises(ValueError):
+        orbit({(1, 3, 3)})
+    with pytest.raises(ValueError):
+        orbit({(2, 4, 3), (1, 2, 3)})
+    with pytest.raises(ValueError):
+        partition_into_classes([{(1, 2, 3)}, {(1, 3, 3)}])
+
+
+@settings(deadline=None, max_examples=40)
+@given(PATTERN_SETS, st.integers(0, 6))
+def test_orbit_members_match_naive_count(t, n):
+    # the verifier shares one count table across an orbit; check the theorem
+    # behind that against the naive oracle on every member
+    expected = count_table(t, 6).counts[n]
+    for member in orbit(t).members:
+        assert len(naive_avoiders(n, member)) == expected
