@@ -60,6 +60,7 @@ from .perms import (
     Perm,
     contains,
     format_pattern_set,
+    format_permutation,
     parse_pattern_set,
     pattern_set_key,
     sym_group,
@@ -708,11 +709,6 @@ def _counts_for(literal: str, n_max: int) -> list[int]:
     return list(count_table(parse_pattern_set(literal), n_max).counts)
 
 
-def format_permutation_survivor(literal: str) -> str:
-    avoiders = enumerate_avoiders(6, parse_pattern_set(literal))
-    return ";".join("".join(map(str, p)) for p in avoiders)
-
-
 def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
     """Pre-registered misprint findings, each with recomputed evidence."""
     nn2 = lambda n: n * (n - 1) // 2 + 1
@@ -908,8 +904,12 @@ def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
         "evidence": {
             "counts_fib_triple": _counts_for("123;132;213;4321", 7),
             "counts_other_triple": _counts_for("123;231;312;4321", 7),
-            "survivor_n6_fib_triple": format_permutation_survivor("123;132;213;4321"),
-            "survivor_n6_other_triple": format_permutation_survivor("123;231;312;4321"),
+            "survivor_n6_fib_triple": ";".join(
+                map(format_permutation, enumerate_avoiders(6, parse_pattern_set("123;132;213;4321")))
+            ),
+            "survivor_n6_other_triple": ";".join(
+                map(format_permutation, enumerate_avoiders(6, parse_pattern_set("123;231;312;4321")))
+            ),
         },
         "status": "confirmed",
     })

@@ -21,6 +21,7 @@ from .enumeration import count_avoiders, enumerate_avoiders
 from .formulas import render
 from .perms import (
     PatternSyntaxError,
+    _parse_word,
     contains,
     find_occurrence,
     format_pattern_set,
@@ -127,7 +128,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "standardize":
-        print(format_permutation(standardize(parse_permutation_word(args.word))))
+        # standardize accepts arbitrary distinct letters, not just 1..n
+        print(format_permutation(standardize(_parse_word(args.word))))
         return 0
 
     if args.command == "orbit":
@@ -206,19 +208,6 @@ def _run(args) -> int:
         return 0
 
     raise UsageError(f"unknown command {args.command!r}")
-
-
-def parse_permutation_word(text: str):
-    # standardize accepts arbitrary distinct letters, not just 1..n
-    body = text.strip()
-    if any(ch in body for ch in " ,\t"):
-        try:
-            return tuple(int(tok) for tok in body.replace(",", " ").split())
-        except ValueError as exc:
-            raise PatternSyntaxError(str(exc), 0) from None
-    if body.isdigit():
-        return tuple(int(ch) for ch in body)
-    raise PatternSyntaxError(f"cannot parse word {text!r}", 0)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -10,17 +10,22 @@ pruned as soon as its prefix contains a forbidden pattern and every avoider
 of every length up to n is visited exactly once.  Leaves are collected and
 sorted, so enumeration output is lexicographic.
 
-Pruning never rescans the whole prefix against whole patterns.  For a pattern
-of length k, an occurrence created by appending an entry must end at it, so
-its other k-1 entries form a (k-1)-subset of the prefix; for each such subset
-the gaps that complete an occurrence form an interval determined by the
-subset's sorted values and the rank of the pattern's last entry.  Those
-intervals are accumulated into a single forbidden-gap bitmask that is passed
-down the tree, making the per-child test a couple of integer operations.
-Inserting into gap g splits that gap around the new entry, so the child's
-mask copies bits 0..g, duplicates bit g and shifts the bits above g up by
-one before the subsets ending at the new entry are folded in.  Patterns of
-length 5 or more are rare here and use a direct matcher per candidate instead.
+Pruning never rescans the whole prefix against whole patterns, and one rule
+serves every pattern length k >= 2.  An occurrence of p that ends at a new
+entry is an occurrence of q = p[:-1] (standardized) in the prefix plus that
+entry, and the gaps that complete it form one interval: those between the
+entries of the q-occurrence ranked r-1 and r, where r = p[-1].  Each
+occurrence of q is folded in once, when the entry it ends at is appended,
+into a forbidden-gap bitmask passed down the tree.  Inserting into gap g
+splits that gap, so the child's mask copies bits 0..g, duplicates bit g and
+shifts the bits above g up by one before the new occurrences are folded in.
+
+Those occurrences are found slot by slot, each slot inside the window its
+order relations allow.  The last free slot is never placed: the slot before
+it is scanned right to left with a bitmask of the values further right, and
+an interval with an endpoint at the free slot needs only the least or the
+greatest candidate in that bitmask, so a length-4 pattern costs O(m) per
+child.  A leaf's mask is never read, so leaves get no fold.
 
 ``count_table`` performs a single search at n_max; the number of nodes at
 depth m is |S_m(T)|, so the per-depth tally is the whole table.
@@ -32,7 +37,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .perms import Perm, PatternSet, pattern_set
+from .perms import Perm, PatternSet, pattern_set, standardize
 
 
 @dataclass(frozen=True)
@@ -47,114 +52,93 @@ class CountTable:
         return len(self.counts) - 1
 
 
-class _Compiled:
-    __slots__ = (
-        "has_empty",
-        "has_single",
-        "asc2",
-        "desc2",
-        "pair_asc",
-        "pair_desc",
-        "by_class",
-        "has3",
-        "has4",
-        "long_pats",
+def _plan(q: Perm, ranks: int) -> tuple:
+    """Fold plan for the patterns q + (r,) with bit r-1 of ``ranks`` set.
+
+    The scratch list holds powers 1 << value: slots 0..k-1 of q (k-1 is the
+    new entry, k-2 the free slot's least candidate), the bottom and top
+    sentinels, and the free slot's greatest candidate.  ``windows[j]`` holds
+    the nearest slots below and above q[j] among those placed before it, and
+    ``pairs`` the two ends of each forbidden interval.
+    """
+    k = len(q)
+    slot = {r: j for j, r in enumerate((*q, 0, k + 1))}
+    windows = []
+    for j in range(k - 1):
+        placed = q[:j] + (q[-1], 0, k + 1)
+        windows.append((slot[max(r for r in placed if r < q[j])], slot[min(r for r in placed if r > q[j])]))
+    pairs = tuple(
+        (slot[r - 1], k + 2 if slot[r] == k - 2 else slot[r]) for r in range(1, k + 2) if ranks >> (r - 1) & 1
     )
-
-    def __init__(self, patterns: Iterable[Perm]):
-        self.has_empty = False
-        self.has_single = False
-        self.asc2 = False
-        self.desc2 = False
-        # rank masks for the value completing a pair (bit r-1 = rank r of the
-        # new value among the three) and a triple (rank among the four)
-        self.pair_asc = 0
-        self.pair_desc = 0
-        by_class = [0] * 6
-        long_pats = []
-        for p in patterns:
-            k = len(p)
-            if k == 0:
-                self.has_empty = True
-            elif k == 1:
-                self.has_single = True
-            elif k == 2:
-                if p == (1, 2):
-                    self.asc2 = True
-                else:
-                    self.desc2 = True
-            elif k == 3:
-                if p[0] < p[1]:
-                    self.pair_asc |= 1 << (p[2] - 1)
-                else:
-                    self.pair_desc |= 1 << (p[2] - 1)
-            elif k == 4:
-                by_class[_cls3(p[0], p[1], p[2])] |= 1 << (p[3] - 1)
-            else:
-                long_pats.append(p)
-        self.by_class = tuple(by_class)
-        self.has3 = bool(self.pair_asc or self.pair_desc)
-        self.has4 = any(by_class)
-        self.long_pats = tuple(sorted(long_pats))
+    return k, tuple(windows), pairs, [1] * (k + 3)
 
 
-def _cls3(x: int, y: int, z: int) -> int:
-    # index of the 3-letter pattern of (x, y, z) in (123,132,213,231,312,321)
-    if x < y:
-        if z > y:
-            return 0
-        if z > x:
-            return 1
-        return 3
-    if z > x:
-        return 2
-    if z > y:
-        return 4
-    return 5
+def _compile(patterns: PatternSet) -> list[tuple]:
+    """One fold plan per distinct q = p[:-1] over the patterns of length >= 2."""
+    groups: dict[Perm, int] = {}
+    for p in patterns:
+        if len(p) >= 2:
+            q = standardize(p[:-1])
+            groups[q] = groups.get(q, 0) | 1 << (p[-1] - 1)
+    return [_plan(q, ranks) for q, ranks in sorted(groups.items())]
 
 
-def _ends_long(pre: list[int], v: int, pat: Perm) -> bool:
-    # does appending v create an occurrence of pat (len >= 5) ending at v?
-    k1 = len(pat) - 1
-    m = len(pre)
-    if m < k1:
-        return False
-    last = pat[-1]
-    vals: list[int] = []
-
-    def rec(slot: int, start: int) -> bool:
-        want = pat[slot]
-        for pos in range(start, m - (k1 - slot) + 1):
-            x = pre[pos]
-            if (x < v) != (want < last):
-                continue
-            ok = True
-            for i in range(slot):
-                if (x < vals[i]) != (want < pat[i]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            vals.append(x)
-            if slot + 1 == k1 or rec(slot + 1, pos + 1):
-                return True
-            vals.pop()
-        return False
-
-    return rec(0, 0)
+def _free(plan: tuple, later: int) -> int:
+    # the free slot k-2 takes any value of ``later`` inside its window; an
+    # interval ending at it needs only its least or greatest candidate
+    k, windows, pairs, val = plan
+    lo, hi = windows[k - 2]
+    cand = later & (val[hi] - (val[lo] << 1))
+    if not cand:
+        return 0
+    val[k - 2] = cand & -cand
+    val[k + 2] = 1 << (cand.bit_length() - 1)
+    return _union(pairs, val)
 
 
-def _run_main(n: int, comp: _Compiled, collect: bool):
+def _union(pairs: tuple, val: list[int]) -> int:
+    nf = 0
+    for a, b in pairs:
+        nf |= val[b] - val[a]
+    return nf
+
+
+def _scan(child: list[int], plan: tuple, slot: int, start: int) -> int:
+    # place slot at each position from the right end down to start, keeping
+    # the values to its right as a bitmask for the free slot
+    k, windows, _, val = plan
+    lo, hi = windows[slot]
+    low, high = val[lo], val[hi]
+    nf = 0
+    later = 0
+    for pos in range(len(child) - 2, start - 1, -1):
+        b = 1 << child[pos]
+        if low < b < high:
+            val[slot] = b
+            nf |= _free(plan, later) if slot == k - 3 else _scan(child, plan, slot + 1, pos + 1)
+        later |= b
+    return nf
+
+
+def _fold(child: list[int], plan: tuple, full: int) -> int:
+    """Gaps forbidden by the occurrences of q that end at child[-1]."""
+    k, _, pairs, val = plan
+    val[k - 1] = 1 << child[-1]
+    val[k + 1] = full + 1
+    if k == 1:
+        return _union(pairs, val)
+    if k == 2:
+        return _free(plan, full ^ 1 ^ val[1])
+    return _scan(child, plan, 0, 0)
+
+
+def _run_main(n: int, patterns: PatternSet, collect: bool):
     """One generating-tree search.  Returns (count per length, leaves or None)."""
     tally = [0] * (n + 1)
     out: Optional[list[Perm]] = [] if collect else None
-    asc2, desc2 = comp.asc2, comp.desc2
-    bp_asc, bp_desc = comp.pair_asc, comp.pair_desc
-    has3, has4 = comp.has3, comp.has4
-    bc = comp.by_class
-    long_pats = comp.long_pats
-    up4 = bc[0] or bc[2] or bc[4]
-    down4 = bc[1] or bc[3] or bc[5]
+    if () in patterns:
+        return tally, out
+    plans = _compile(patterns)
 
     def rec(pre: list[int], depth: int, forb: int) -> None:
         tally[depth] += 1
@@ -162,92 +146,30 @@ def _run_main(n: int, comp: _Compiled, collect: bool):
             if collect:
                 out.append(tuple(pre))
             return
+        allowed = ((1 << (depth + 1)) - 1) & ~forb
+        # a leaf's mask is never read: no fold, and a count needs no leaves
+        leaf = depth + 1 == n
+        if leaf and not collect:
+            tally[n] += allowed.bit_count()
+            return
         # a child has depth + 1 entries and so depth + 2 gaps
         full = (1 << (depth + 2)) - 1
-        allowed = ((1 << (depth + 1)) - 1) & ~forb
         while allowed:
             bit = allowed & -allowed
             allowed -= bit
             g = bit.bit_length() - 1
             v = g + 1
             child = [x + 1 if x > g else x for x in pre]
-            if long_pats:
-                hit = False
-                for pat in long_pats:
-                    if _ends_long(child, v, pat):
-                        hit = True
-                        break
-                if hit:
-                    continue
+            child.append(v)
             # gap g splits around v: bits above g move up one, bit g is copied
             nf = (forb & ((bit << 1) - 1)) | ((forb >> g) << v)
-            # fold the subsets ending at v into the child's forbidden mask
-            below_v = (1 << v) - 1
-            if asc2:
-                nf |= full & ~below_v
-            if desc2:
-                nf |= below_v
-            if has3:
-                for x in child:
-                    if x < v:
-                        rm = bp_asc
-                        if rm:
-                            if rm & 1:
-                                nf |= (1 << x) - 1
-                            if rm & 2:
-                                nf |= below_v ^ ((1 << x) - 1)
-                            if rm & 4:
-                                nf |= full & ~below_v
-                    else:
-                        rm = bp_desc
-                        if rm:
-                            if rm & 1:
-                                nf |= below_v
-                            if rm & 2:
-                                nf |= ((1 << x) - 1) ^ below_v
-                            if rm & 4:
-                                nf |= full & ~((1 << x) - 1)
-            if has4 and depth >= 2:
-                for j in range(1, depth):
-                    y = child[j]
-                    # skip y when no length-4 class with this order of y and v is forbidden
-                    if not (up4 if v > y else down4):
-                        continue
-                    for i in range(j):
-                        x = child[i]
-                        if x < y:
-                            if v > y:
-                                rm = bc[0]
-                                b1, b2, b3 = x, y, v
-                            elif v > x:
-                                rm = bc[1]
-                                b1, b2, b3 = x, v, y
-                            else:
-                                rm = bc[3]
-                                b1, b2, b3 = v, x, y
-                        else:
-                            if v > x:
-                                rm = bc[2]
-                                b1, b2, b3 = y, x, v
-                            elif v > y:
-                                rm = bc[4]
-                                b1, b2, b3 = y, v, x
-                            else:
-                                rm = bc[5]
-                                b1, b2, b3 = v, y, x
-                        if rm:
-                            if rm & 1:
-                                nf |= (1 << b1) - 1
-                            if rm & 2:
-                                nf |= ((1 << b2) - 1) ^ ((1 << b1) - 1)
-                            if rm & 4:
-                                nf |= ((1 << b3) - 1) ^ ((1 << b2) - 1)
-                            if rm & 8:
-                                nf |= full & ~((1 << b3) - 1)
-            child.append(v)
+            if not leaf:
+                for plan in plans:
+                    nf |= _fold(child, plan, full)
             rec(child, depth + 1, nf)
 
-    rec([], 0, 0)
+    # a length-1 pattern forbids the root's only gap
+    rec([], 0, int((1,) in patterns))
     return tally, out
 
 
@@ -258,13 +180,7 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    patterns = pattern_set(t)
-    comp = _Compiled(patterns)
-    if comp.has_empty:
-        return []
-    if comp.has_single:
-        return [()] if n == 0 else []
-    _, out = _run_main(n, comp, collect=True)
+    _, out = _run_main(n, pattern_set(t), collect=True)
     out.sort()
     return out
 
@@ -274,13 +190,7 @@ _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
 
 
 def _compute_counts(patterns: PatternSet, n_max: int) -> tuple[int, ...]:
-    comp = _Compiled(patterns)
-    if comp.has_empty:
-        return tuple([0] * (n_max + 1))
-    if comp.has_single:
-        return tuple([1] + [0] * n_max)
-    tally, _ = _run_main(n_max, comp, collect=False)
-    return tuple(tally)
+    return tuple(_run_main(n_max, patterns, collect=False)[0])
 
 
 def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:

@@ -200,14 +200,9 @@ def format_pattern_set(s: PatternSet) -> str:
     return ";".join(format_permutation(p) for p in sorted(s, key=pattern_key))
 
 
-def parse_permutation(text: str, offset: int = 0) -> Perm:
-    """Parse a single permutation literal.
-
-    >>> parse_permutation("3 1 2")
-    (3, 1, 2)
-    >>> parse_permutation("3412")
-    (3, 4, 1, 2)
-    """
+def _parse_word(text: str, offset: int = 0) -> list[int]:
+    # the letters of a literal, compact digits or separated integers, with no
+    # check that they form a permutation
     body = text.strip()
     if not body:
         raise PatternSyntaxError("empty permutation literal", offset)
@@ -226,6 +221,18 @@ def parse_permutation(text: str, offset: int = 0) -> Perm:
     else:
         bad = next(i for i, ch in enumerate(text) if not ch.isdigit())
         raise PatternSyntaxError(f"unexpected character {text[bad]!r}", offset + bad)
+    return values
+
+
+def parse_permutation(text: str, offset: int = 0) -> Perm:
+    """Parse a single permutation literal.
+
+    >>> parse_permutation("3 1 2")
+    (3, 1, 2)
+    >>> parse_permutation("3412")
+    (3, 4, 1, 2)
+    """
+    values = _parse_word(text, offset)
     try:
         return check_permutation(values)
     except ValueError as exc:

@@ -31,14 +31,23 @@ def reverse(p: Perm) -> Perm:
 def inverse(p: Perm) -> Perm:
     """Group inverse: q with q[p[j]] = j (1-based).
 
+    Raises ValueError if p is not a permutation.
+
     >>> inverse((2, 3, 1))
     (3, 1, 2)
     >>> inverse((1, 2, 3))
     (1, 2, 3)
     """
-    inv = [0] * len(p)
+    n = len(p)
+    inv = [0] * n
     for j, v in enumerate(p):
+        if not 0 < v <= n:
+            break
         inv[v - 1] = j + 1
+    # a value out of range stops the fill early and a repeated one leaves a
+    # slot unfilled, so either way a slot is still 0
+    if 0 in inv:
+        raise ValueError(f"not a permutation of 1..{n}: {tuple(p)!r}")
     return tuple(inv)
 
 

@@ -4,14 +4,14 @@
 from the definitions (sort-and-rank, scan over all subsequences), so tests
 that compare the library against them are genuine cross-checks rather than
 the same code calling itself.  ``PATTERN_SETS`` is the hypothesis strategy
-the property tests share: sets of 1-3 patterns of length 1-5.
+the property tests share: sets of 1-3 patterns of length 1-6.
 """
 
 import itertools
 
 from hypothesis import strategies as st
 
-PATTERNS = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
+PATTERNS = st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
 PATTERN_SETS = st.frozensets(PATTERNS, min_size=1, max_size=3)
 
 

@@ -33,6 +33,16 @@ def test_standardize(capsys):
     assert code == 0 and out.strip() == "213"
 
 
+def test_standardize_malformed_word(capsys):
+    # the word shares the permutation tokenizer, so errors name the bad token
+    code, out, err = run(capsys, "standardize", "--word", "50 x 70")
+    assert code == 1 and out == "" and "not an integer: 'x' (at position 3)" in err
+    code, _, err = run(capsys, "standardize", "--word", "5a")
+    assert code == 1 and "unexpected character 'a' (at position 1)" in err
+    code, _, err = run(capsys, "standardize", "--word", "50 50")
+    assert code == 1 and "duplicate" in err
+
+
 def test_contains_and_witness(capsys):
     code, out, _ = run(capsys, "contains", "--perm", "2413", "--pattern", "12")
     assert code == 0 and out.strip() == "true"

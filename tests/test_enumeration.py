@@ -133,10 +133,12 @@ def test_table_matches_direct_enumeration_per_n():
 
 
 def test_long_patterns():
-    # length >= 5 patterns take the direct-matcher path
+    # a pattern of length k places k-3 slots by position before its free
+    # slot: length 5 nests two scans, length 6 three
     for n in (5, 6):
         assert enumerate_avoiders(n, [(1, 2, 3, 4, 5)]) == naive_avoiders(n, [(1, 2, 3, 4, 5)])
         assert enumerate_avoiders(n, [(2, 1, 4, 3, 5)]) == naive_avoiders(n, [(2, 1, 4, 3, 5)])
+    assert enumerate_avoiders(7, [(2, 5, 1, 6, 3, 4)]) == naive_avoiders(7, [(2, 5, 1, 6, 3, 4)])
 
 
 def test_double_lift_avoiders_at_threshold():

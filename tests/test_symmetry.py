@@ -28,6 +28,18 @@ def test_inverse_examples():
     assert inverse((2, 3, 1)) == (3, 1, 2)
 
 
+def test_inverse_rejects_non_permutations():
+    # a repeated value leaves a slot unfilled, an out-of-range one has no slot
+    with pytest.raises(ValueError):
+        inverse((1, 3, 3))
+    with pytest.raises(ValueError):
+        apply_set("i", {(1, 3, 3)})
+    with pytest.raises(ValueError):
+        inverse((2, 4, 3))
+    with pytest.raises(ValueError):
+        inverse((0, 1))
+
+
 def test_group_laws_exhaustive():
     for n in range(8):
         for p in all_permutations(n):
