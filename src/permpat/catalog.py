@@ -5,6 +5,10 @@ length-4 pattern (144 sets), two length-3 patterns plus one length-4 (360),
 three plus one (480), and at least four plus one (528).  Each table row is
 either a predicate (evaluated with the containment test, never a hand-kept
 pair list) or a union of symmetry-class orbits of listed representatives.
+Where a row lists a set's avoiders verbatim, that set's formula is an
+``ExplicitFamily`` from ``EXPLICIT_FAMILIES``, which carries its own builder:
+the verifier checks both its size and the avoider set itself.  The findings
+are one table, ``_FINDINGS``, of printed claims with their resolutions.
 
 Known misprints in the printed tables are pre-registered findings: the row
 encodings below already carry the corrected members, and ``verify`` recomputes
@@ -38,7 +42,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from . import formulas
 from .enumeration import CountTable, count_table, count_tables, enumerate_avoiders
 from .formulas import (
     BinomialPoly,
@@ -53,6 +56,7 @@ from .formulas import (
     TribonacciForm,
     ZeroBeyond,
     evaluate,
+    fibonacci,
     render,
 )
 from .perms import (
@@ -65,7 +69,7 @@ from .perms import (
     pattern_set_key,
     sym_group,
 )
-from .symmetry import SymmetryOrbit, orbit, partition_into_classes
+from .symmetry import SymmetryOrbit, apply_set, orbit, partition_into_classes
 
 P123, P132, P213, P231, P312, P321 = (
     (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
@@ -133,32 +137,31 @@ def _down(n: int, stop: int) -> Perm:
     return tuple(range(n, stop - 1, -1))
 
 
-_FAMILY_BUILDERS: dict[str, Callable[[int], frozenset]] = {
-    "123;132;231;3214": lambda n: frozenset({_down(n, 4) + (2, 1, 3), _down(n, 3) + (1, 2), _dn(n)}),
-    "123;132;231;4312": lambda n: frozenset({_down(n - 1, 1) + (n,), (n,) + _down(n - 2, 1) + (n - 1,), _dn(n)}),
-    "123;132;231;4213": lambda n: frozenset({_down(n - 1, 1) + (n,), _down(n, 3) + (1, 2), _dn(n)}),
-    "123;231;312;1432": lambda n: frozenset({_down(n - 2, 1) + (n, n - 1), _down(n - 1, 1) + (n,), _dn(n)}),
-    "123;231;312;2143": lambda n: frozenset({(1,) + _down(n, 2), _down(n - 1, 1) + (n,), _dn(n)}),
-    "132;213;231;1234": lambda n: frozenset({_down(n, 4) + (1, 2, 3), _down(n, 3) + (1, 2), _dn(n)}),
-    "132;213;231;4123": lambda n: frozenset({_dn(n), _down(n, 3) + (1, 2), _an(n)}),
-    "132;213;231;4312": lambda n: frozenset({_dn(n), (n,) + _an(n - 1), _an(n)}),
-    "132;213;231;4321": lambda n: frozenset({_an(n), (n,) + _an(n - 1), (n, n - 1) + _an(n - 2)}),
-    "123;132;213;3421": lambda n: frozenset(
-        {_dn(n), _down(n, 3) + (1, 2), _down(n, 4) + (2, 3, 1), _down(n, 5) + (3, 4, 1, 2)}
-    ),
-    "123;132;213;4231": lambda n: frozenset(
-        {_dn(n), (n - 1, n) + _down(n - 2, 1), _down(n, 3) + (1, 2), (n - 1, n) + _down(n - 2, 3) + (1, 2)}
-    ),
-    "123;132;213;231;4312": lambda n: frozenset({_dn(n)}),
-    "123;132;231;312;3214": lambda n: frozenset({_dn(n)}),
-    "123;213;231;312;1432": lambda n: frozenset({_dn(n)}),
-    "132;213;231;312;1234": lambda n: frozenset({_dn(n)}),
-}
-
-formulas.FAMILY_REGISTRY.update(_FAMILY_BUILDERS)
-
-EXPLICIT_FAMILY_SETS: dict[PatternSet, str] = {
-    parse_pattern_set(lit): lit for lit in _FAMILY_BUILDERS
+# the sets whose rows list their avoiders verbatim; each set's formula is its
+# family, so the count check and the set-equality check read one builder
+EXPLICIT_FAMILIES: dict[PatternSet, ExplicitFamily] = {
+    parse_pattern_set(lit): ExplicitFamily(lit, build)
+    for lit, build in {
+        "123;132;231;3214": lambda n: frozenset({_down(n, 4) + (2, 1, 3), _down(n, 3) + (1, 2), _dn(n)}),
+        "123;132;231;4312": lambda n: frozenset({_down(n - 1, 1) + (n,), (n,) + _down(n - 2, 1) + (n - 1,), _dn(n)}),
+        "123;132;231;4213": lambda n: frozenset({_down(n - 1, 1) + (n,), _down(n, 3) + (1, 2), _dn(n)}),
+        "123;231;312;1432": lambda n: frozenset({_down(n - 2, 1) + (n, n - 1), _down(n - 1, 1) + (n,), _dn(n)}),
+        "123;231;312;2143": lambda n: frozenset({(1,) + _down(n, 2), _down(n - 1, 1) + (n,), _dn(n)}),
+        "132;213;231;1234": lambda n: frozenset({_down(n, 4) + (1, 2, 3), _down(n, 3) + (1, 2), _dn(n)}),
+        "132;213;231;4123": lambda n: frozenset({_dn(n), _down(n, 3) + (1, 2), _an(n)}),
+        "132;213;231;4312": lambda n: frozenset({_dn(n), (n,) + _an(n - 1), _an(n)}),
+        "132;213;231;4321": lambda n: frozenset({_an(n), (n,) + _an(n - 1), (n, n - 1) + _an(n - 2)}),
+        "123;132;213;3421": lambda n: frozenset(
+            {_dn(n), _down(n, 3) + (1, 2), _down(n, 4) + (2, 3, 1), _down(n, 5) + (3, 4, 1, 2)}
+        ),
+        "123;132;213;4231": lambda n: frozenset(
+            {_dn(n), (n - 1, n) + _down(n - 2, 1), _down(n, 3) + (1, 2), (n - 1, n) + _down(n - 2, 3) + (1, 2)}
+        ),
+        "123;132;213;231;4312": lambda n: frozenset({_dn(n)}),
+        "123;132;231;312;3214": lambda n: frozenset({_dn(n)}),
+        "123;213;231;312;1432": lambda n: frozenset({_dn(n)}),
+        "132;213;231;312;1234": lambda n: frozenset({_dn(n)}),
+    }.items()
 }
 
 
@@ -174,7 +177,6 @@ class TableRow:
     formula: CountFormula
     valid_from: int
     matches: Callable[[PatternSet], bool] = field(compare=False)
-    explicit_sets: bool = False
     per_set: Optional[Callable[[PatternSet], tuple[CountFormula, int]]] = field(
         default=None, compare=False
     )
@@ -184,12 +186,7 @@ def _member_of(members: frozenset[PatternSet]) -> Callable[[PatternSet], bool]:
     return lambda s: s in members
 
 
-def _t2_zero_matches(s: PatternSet) -> bool:
-    t3, tau = _threes(s), _tau(s)
-    return ({P123, P321} <= t3) or (P123 in t3 and tau == P4321) or (P321 in t3 and tau == P1234)
-
-
-def _t34_zero_matches(s: PatternSet, strict: bool) -> bool:
+def _zero_matches(s: PatternSet, strict: bool = False) -> bool:
     t3, tau = _threes(s), _tau(s)
     if strict and len(t3) == 6:
         return False
@@ -277,7 +274,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              or s in _NN2_ORBITS),
     TableRow(2, "2.zero", "{123,321,t}; {123,a,4321}; {321,a,1234}", 32,
              "Erdos-Szekeres", ZeroBeyond(5), 5,
-             matches=_t2_zero_matches,
+             matches=_zero_matches,
              per_set=lambda s: (ZeroBeyond(5), 5) if {P123, P321} <= _threes(s) else (ZeroBeyond(7), 7)),
     TableRow(2, "2.linear-2n", "cls{123,312,t}, t in {1432,2143,2431,3214,3241,3421}", 24,
              "direct recurrences", Linear(2, -2), 2,
@@ -300,36 +297,35 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              or s in _N_SPECIAL_ORBIT),
     TableRow(3, "3.zero", "123,321 in T; or 123 in T and t=4321; or 321 in T and t=1234", 108,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
-             matches=lambda s: _t34_zero_matches(s, strict=False),
+             matches=_zero_matches,
              per_set=lambda s: (ZeroBeyond(7), 7) if s in _ZERO6_EXCEPTIONS else (ZeroBeyond(6), 6)),
     TableRow(3, "3.three", "13 listed classes (10 orbits)", 46,
-             "explicit avoider lists", Constant(3, 3), 3,
-             matches=_member_of(_THREE_ORBITS), explicit_sets=True),
+             "explicit avoider lists", Constant(3), 3,
+             matches=_member_of(_THREE_ORBITS)),
     TableRow(3, "3.fibonacci", "T in the Fibonacci class, t contains a member", 38,
              "Simion-Schmidt; containment reduction", FibonacciForm(1, 1, 0), 1,
              matches=lambda s: _threes(s) in _FIB_TRIPLES and _tau_contains_member(s)),
     TableRow(3, "3.four", "cls{123,132,213,3421}, cls{123,132,213,4231} (corrected reps)", 6,
-             "explicit avoider lists", Constant(4, 4), 4,
-             matches=_member_of(_FOUR_ORBITS), explicit_sets=True),
+             "explicit avoider lists", Constant(4), 4,
+             matches=_member_of(_FOUR_ORBITS)),
 
     # ---- at least four length-3 patterns plus one length-4 pattern (528 sets)
     TableRow(4, "4.zero", "strict subsets T with 123,321 in T; or 123 in T and t=4321; "
                           "or 321 in T and t=1234", 348,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
-             matches=lambda s: _t34_zero_matches(s, strict=True)),
+             matches=lambda s: _zero_matches(s, strict=True)),
     TableRow(4, "4.two", "|T|=4 without {123,321}, t contains a member", 100,
-             "Simion-Schmidt; containment reduction", Constant(2, 2), 2,
+             "Simion-Schmidt; containment reduction", Constant(2), 2,
              matches=lambda s: len(_threes(s)) == 4
              and not {P123, P321} <= _threes(s) and _tau_contains_member(s)),
     TableRow(4, "4.one", "|T|=5 with 123 (resp. 321) missing and t != 1234 (resp. 4321), "
                          "or one of 4 listed singleton classes", 56,
-             "explicit avoider lists", Constant(1, 3), 3,
+             "explicit avoider lists", Constant(1), 3,
              matches=lambda s: (len(_threes(s)) == 5
                                 and ((P123 not in _threes(s) and _tau(s) != P1234)
                                      or (P321 not in _threes(s) and _tau(s) != P4321)))
              or s in _SINGLETON_ORBITS,
-             explicit_sets=True,
-             per_set=lambda s: (Constant(1, 3), 3) if len(_threes(s)) == 5 else (Constant(1, 4), 4)),
+             per_set=lambda s: (Constant(1), 3) if len(_threes(s)) == 5 else (Constant(1), 4)),
 )
 
 
@@ -342,20 +338,12 @@ class CatalogEntry:
     source_table: int
     citation: str
     row_id: str
-    family: Optional[str] = None
 
 
 def expand_universe(table_id: int) -> list[PatternSet]:
     """All pattern sets of a table's universe, in canonical order."""
-    if table_id == 1:
-        sizes = (1,)
-    elif table_id == 2:
-        sizes = (2,)
-    elif table_id == 3:
-        sizes = (3,)
-    elif table_id == 4:
-        sizes = (4, 5, 6)
-    else:
+    sizes = {1: (1,), 2: (2,), 3: (3,), 4: (4, 5, 6)}.get(table_id)
+    if sizes is None:
         raise ValueError(f"unknown table id {table_id}")
     sets = [
         frozenset(threes) | {tau}
@@ -379,20 +367,14 @@ def _entry_for(row: TableRow, s: PatternSet, representative: PatternSet) -> Cata
     formula, valid_from = row.formula, row.valid_from
     if row.per_set is not None:
         formula, valid_from = row.per_set(s)
-    family = None
-    if row.explicit_sets:
-        family = EXPLICIT_FAMILY_SETS.get(s)
-        if family is not None:
-            formula = ExplicitFamily(family)
     return CatalogEntry(
         representative=representative,
         claimed_class_size=row.claimed_size,
-        formula=formula,
+        formula=EXPLICIT_FAMILIES.get(s, formula),
         valid_from=valid_from,
         source_table=row.table,
         citation=row.citation,
         row_id=row.row_id,
-        family=family,
     )
 
 
@@ -460,9 +442,6 @@ class PairCheck:
     formula_values: Optional[tuple[int, ...]]  # aligned with n = 1..n_max
     verdict: str  # match | mismatch | uncovered
     mismatch_ns: tuple[int, ...] = ()
-    skipped_below: int = 0
-    sets_checked: Optional[bool] = None
-    sharp_at_threshold: Optional[bool] = None
     conjecture: Optional[str] = None
 
     @property
@@ -559,11 +538,11 @@ class VerificationReport:
             for n in range(1, self.n_max + 1):
                 if p.verdict == "uncovered":
                     rows.append([tid, "", p.literal, n, p.counts[n], "", "uncovered"])
-                elif n < (p.valid_from or 1):
+                elif n < p.valid_from:
                     rows.append([tid, p.row_id, p.literal, n, p.counts[n], "", "below-threshold-skipped"])
                 else:
                     val = p.formula_values[n - 1]
-                    verdict = "match" if p.counts[n] == val else "mismatch"
+                    verdict = "mismatch" if n in p.mismatch_ns else "match"
                     rows.append([tid, p.row_id, p.literal, n, p.counts[n], val, verdict])
         return rows
 
@@ -579,7 +558,7 @@ def _fit_conjecture(counts: tuple[int, ...]) -> Optional[str]:
             break
     for n0 in range(1, n_max - 1):
         if counts[n0] != 0 and len(set(counts[n0:])) == 1:
-            candidates.append((Constant(counts[n0], n0), n0))
+            candidates.append((Constant(counts[n0]), n0))
             break
     a = counts[n_max] - counts[n_max - 1]
     candidates.append((Linear(a, counts[n_max] - a * n_max), max(1, n_max - 4)))
@@ -602,23 +581,17 @@ def _check_pair(
             conjecture=_fit_conjecture(counts),
         )
     values = tuple(evaluate(entry.formula, n) for n in range(1, n_max + 1))
-    lo = max(1, entry.valid_from)
-    mismatch_ns = tuple(n for n in range(lo, n_max + 1) if values[n - 1] != counts[n])
-    sets_ok = None
-    if entry.family is not None:
-        fam = formulas.FAMILY_REGISTRY[entry.family]
-        sets_ok = all(
-            frozenset(enumerate_avoiders(n, s)) == fam(n) for n in range(lo, n_max + 1)
-        )
-    sharp = None
-    if isinstance(entry.formula, ZeroBeyond) and 1 <= entry.valid_from - 1 <= n_max:
-        sharp = counts[entry.valid_from - 1] > 0
-    verdict = "match" if not mismatch_ns and sets_ok in (None, True) else "mismatch"
+    # a listed family must also equal the oracle's avoider set, not just its size
+    family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
+    mismatch_ns = tuple(
+        n for n in range(entry.valid_from, n_max + 1)
+        if values[n - 1] != counts[n]
+        or (family is not None and family.build(n) != frozenset(enumerate_avoiders(n, s)))
+    )
     return PairCheck(
         pattern_set=s, row_id=entry.row_id, valid_from=entry.valid_from,
-        counts=counts, formula_values=values, verdict=verdict,
-        mismatch_ns=mismatch_ns, skipped_below=max(0, min(lo - 1, n_max)),
-        sets_checked=sets_ok, sharp_at_threshold=sharp,
+        counts=counts, formula_values=values,
+        verdict="mismatch" if mismatch_ns else "match", mismatch_ns=mismatch_ns,
     )
 
 
@@ -709,240 +682,153 @@ def _counts_for(literal: str, n_max: int) -> list[int]:
     return list(count_table(parse_pattern_set(literal), n_max).counts)
 
 
+def _avoiders_for(literal: str, n: int) -> list[str]:
+    return [format_permutation(p) for p in enumerate_avoiders(n, parse_pattern_set(literal))]
+
+
+def _nn2(n: int) -> int:
+    return n * (n - 1) // 2 + 1
+
+
+# The pre-registered findings as (id, kind, printed, resolution, evidence).
+# The evidence is recomputed on every run from n_max and the audit of table 4;
+# a resolution may name the run's n_max as %(n_max)d.
+_FINDINGS: tuple[tuple[str, str, str, str, Callable[[int, TableAudit], dict]], ...] = (
+    ("containment-wording", "definition-wording",
+     "the defining sentence introduces 'avoids' with the clause that defines containment",
+     "standard semantics implemented: containment = an order-isomorphic subsequence exists",
+     lambda n_max, t4: {"S4_avoiders_of_132": _counts_for("132", 4)[4]}),
+    ("reversal-image-misprint", "misprint",
+     "one printed derivation states r({213,132,4321}) = {132,213,4231}",
+     "direct reversal gives {231;312;1234}; both classes count C(n,2)+1 so the conclusion stands",
+     lambda n_max, t4: {
+         "recomputed_r_image": format_pattern_set(apply_set("r", parse_pattern_set("213;132;4321"))),
+         "counts_printed_image": _counts_for("132;213;4231", 6),
+         "counts_recomputed_image": _counts_for("1234;231;312", 6),
+     }),
+    ("nn2-lists-contained-tau", "row-correction",
+     "{213,312,1324} listed under the C(n,2)+1 block",
+     "1324 contains 213, so the set counts 2^(n-1) and belongs to the 2^(n-1) predicate row",
+     lambda n_max, t4: {
+         "counts": _counts_for("1324;213;312", 6),
+         "expected_if_nn2": [_nn2(n) for n in range(7)],
+         "expected_pow2": [0] + [2 ** (n - 1) for n in range(1, 7)],
+     }),
+    ("nn2-missing-class", "row-correction",
+     "the C(n,2)+1 block claims 118 sets but its printed members reach only 114",
+     "the class of {132,213,3421} (4 sets) counts C(n,2)+1 for n <= %(n_max)d and completes the block",
+     lambda n_max, t4: {
+         "counts": _counts_for("132;213;3421", n_max),
+         "expected": [_nn2(n) for n in range(n_max + 1)],
+         "class_members": sorted(
+             format_pattern_set(m) for m in orbit(parse_pattern_set("132;213;3421")).members
+         ),
+     }),
+    ("nn2-duplicate-tau-item", "misprint",
+     "the tau list printed for T={213,321} reads {1324,2314,1324} (a duplicate)",
+     "every tau containing 213 or 321 gives C(n,2)+1 for that T; full list recomputed",
+     lambda n_max, t4: {"taus_with_nn2_counts_n_le_6": [
+         format_permutation(tau) for tau in S4
+         if count_table(frozenset({P213, P321, tau}), 6).counts[1:] == tuple(map(_nn2, range(1, 7)))
+     ]}),
+    ("2n2-item-prints-3412", "misprint",
+     "one C(n,2)+1 item names (213,312,3412)",
+     "3412 contains 312, so that set counts 2^(n-1); the proven class is {213,312,2341}",
+     lambda n_max, t4: {
+         "counts_printed": _counts_for("213;312;3412", 6),
+         "counts_proven": _counts_for("213;312;2341", 6),
+     }),
+    ("pow2-duplicate-pair", "misprint",
+     "the 2^(n-1) item lists the pair (132,231) twice",
+     "the three 2^(n-1) pair classes are derived by orbit closure (10 pairs)",
+     lambda n_max, t4: {"pairs": sorted(format_pattern_set(p) for p in _POW2_PAIRS)}),
+    ("n-row-merged-conditions", "row-correction",
+     "the count-n row names one T class with 'tau contains a member or tau=3412'",
+     "encoded as every count-n triple with containing tau, plus cls{123,132,213,3412} "
+     "(the 3412 case belongs to the Fibonacci triple, not the printed class)",
+     lambda n_max, t4: {
+         "counts_special": _counts_for("123;132;213;3412", n_max),
+         "counts_special_mirror": _counts_for("2143;231;312;321", n_max),
+     }),
+    ("three-row-unproven-class", "misprint",
+     "the count-3 row lists {123,231,312,3214}, a class no explicit avoider list covers",
+     "oracle confirms count 3 from n = 3",
+     lambda n_max, t4: {"counts": _counts_for("123;231;312;3214", n_max)}),
+    ("four-row-reps", "row-correction",
+     "the count-4 row prints representatives {123,231,312,3421} and {123,231,312,4231}",
+     "3421 contains 231 (count n by redundancy); the proven classes are "
+     "{123,132,213,3421} and {123,132,213,4231}",
+     lambda n_max, t4: {
+         "counts_printed_rep": _counts_for("123;231;312;3421", 6),
+         "counts_corrected_rep": _counts_for("123;132;213;3421", 6),
+     }),
+    ("explicit3-witness-typos", "misprint",
+     "several 3-element avoider lists print the ascending witness delta_n where T "
+     "forbids it (items with 123 in T, and the 1234 item); one item prints "
+     "(2,1,n,...,3) and the 4321 item prints the descending witness",
+     "corrected witnesses encoded per family; set equality verified against the "
+     "enumerator on the full validity range",
+     lambda n_max, t4: {
+         "example": "123;132;231;3214",
+         "avoiders_n5": _avoiders_for("123;132;231;3214", 5),
+     }),
+    ("explicit4-lists-swapped", "misprint",
+     "the two 4-element avoider lists are printed under each other's extra pattern "
+     "(and one member repeats 'n-1')",
+     "lists swapped back and the garbled member read as (n-1,n,n-2,...,3,1,2); "
+     "oracle confirms both families",
+     lambda n_max, t4: {
+         "avoiders_3421_n4": _avoiders_for("123;132;213;3421", 4),
+         "avoiders_4231_n4": _avoiders_for("123;132;213;4231", 4),
+     }),
+    ("singleton-conclusions-swapped", "misprint",
+     "the five-triple singleton rows conclude {(n,...,1)} when 123 is missing and "
+     "{(1,...,n)} when 321 is missing",
+     "conclusions swapped: forbidding everything but 123 leaves the ascending "
+     "permutation, and vice versa",
+     lambda n_max, t4: {"avoiders_missing123_n5": _avoiders_for("132;213;231;312;321;2143", 5)}),
+    ("three-zero-threshold-exception", "claim-correction",
+     "the claimed zero threshold for three-triple sets is n >= 6 whenever 123 is in "
+     "T and t = 4321 (or the mirror condition)",
+     "false for the classes of {123,132,213,4321} and {123,231,312,4321}: one "
+     "avoider survives at n = 6 and the count is zero only from n = 7; the four "
+     "affected sets carry threshold 7",
+     lambda n_max, t4: {
+         "counts_fib_triple": _counts_for("123;132;213;4321", 7),
+         "counts_other_triple": _counts_for("123;231;312;4321", 7),
+         "survivor_n6_fib_triple": ";".join(_avoiders_for("123;132;213;4321", 6)),
+         "survivor_n6_other_triple": ";".join(_avoiders_for("123;231;312;4321", 6)),
+     }),
+    ("fibonacci-indexing", "threshold-calibration",
+     "the pair-table Fibonacci row prints f(2n-2) with no initial conditions",
+     "under f(1)=f(2)=1 the matching index is f(2n-1) (equivalently the printed "
+     "index under f(0)=f(1)=1); calibrated against the oracle at n=2..5",
+     lambda n_max, t4: {
+         "counts_123_1432": _counts_for("123;1432", 5),
+         "f_2n_minus_1": [fibonacci(2 * n - 1) for n in range(1, 6)],
+     }),
+    ("table4-claimed-sizes", "claimed-size-mismatch",
+     "the last table claims row sizes 348, 100 and 56 (sum 504 of a 528-set universe)",
+     "the stated zero-row and count-2-row conditions reach 250 and 198 sets; the "
+     "claimed total 504 is met exactly under the strict-subset premise, leaving "
+     "the 24 sets with all six length-3 patterns uncovered (surfaced with oracle "
+     "counts)",
+     lambda n_max, t4: {
+         "claimed_vs_computed": {r.row_id: (r.claimed_size, r.computed_size) for r in t4.rows},
+         "covered": t4.covered,
+         "uncovered": len(t4.uncovered),
+     }),
+)
+
+
 def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
     """Pre-registered misprint findings, each with recomputed evidence."""
-    nn2 = lambda n: n * (n - 1) // 2 + 1
-    findings: list[dict] = []
-
-    findings.append({
-        "id": "containment-wording",
-        "kind": "definition-wording",
-        "printed": "the defining sentence introduces 'avoids' with the clause that defines containment",
-        "resolution": "standard semantics implemented: containment = an order-isomorphic subsequence exists",
-        "evidence": {"S4_avoiders_of_132": _counts_for("132", 4)[4]},
-        "status": "confirmed",
-    })
-
-    r_image = format_pattern_set(frozenset({(3, 1, 2), (2, 3, 1), (1, 2, 3, 4)}))
-    findings.append({
-        "id": "reversal-image-misprint",
-        "kind": "misprint",
-        "printed": "one printed derivation states r({213,132,4321}) = {132,213,4231}",
-        "resolution": f"direct reversal gives {{{r_image}}}; both classes count C(n,2)+1 so the conclusion stands",
-        "evidence": {
-            "recomputed_r_image": r_image,
-            "counts_printed_image": _counts_for("132;213;4231", 6),
-            "counts_recomputed_image": _counts_for("1234;231;312", 6),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "nn2-lists-contained-tau",
-        "kind": "row-correction",
-        "printed": "{213,312,1324} listed under the C(n,2)+1 block",
-        "resolution": "1324 contains 213, so the set counts 2^(n-1) and belongs to the 2^(n-1) predicate row",
-        "evidence": {
-            "counts": _counts_for("1324;213;312", 6),
-            "expected_if_nn2": [nn2(n) for n in range(7)],
-            "expected_pow2": [0] + [2 ** (n - 1) for n in range(1, 7)],
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "nn2-missing-class",
-        "kind": "row-correction",
-        "printed": "the C(n,2)+1 block claims 118 sets but its printed members reach only 114",
-        "resolution": "the class of {132,213,3421} (4 sets) counts C(n,2)+1 for n <= %d and completes the block"
-                      % n_max,
-        "evidence": {
-            "counts": _counts_for("132;213;3421", n_max),
-            "expected": [nn2(n) if n else 1 for n in range(n_max + 1)],
-            "class_members": sorted(
-                format_pattern_set(m) for m in orbit(parse_pattern_set("132;213;3421")).members
-            ),
-        },
-        "status": "confirmed",
-    })
-
-    taus_nn2 = [
-        format_pattern_set(frozenset({tau}))
-        for tau in S4
-        if all(
-            count_table(frozenset({P213, P321, tau}), 6).counts[n] == nn2(n)
-            for n in range(1, 7)
-        )
-    ]
-    findings.append({
-        "id": "nn2-duplicate-tau-item",
-        "kind": "misprint",
-        "printed": "the tau list printed for T={213,321} reads {1324,2314,1324} (a duplicate)",
-        "resolution": "every tau containing 213 or 321 gives C(n,2)+1 for that T; full list recomputed",
-        "evidence": {"taus_with_nn2_counts_n_le_6": taus_nn2},
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "2n2-item-prints-3412",
-        "kind": "misprint",
-        "printed": "one C(n,2)+1 item names (213,312,3412)",
-        "resolution": "3412 contains 312, so that set counts 2^(n-1); the proven class is {213,312,2341}",
-        "evidence": {
-            "counts_printed": _counts_for("213;312;3412", 6),
-            "counts_proven": _counts_for("213;312;2341", 6),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "pow2-duplicate-pair",
-        "kind": "misprint",
-        "printed": "the 2^(n-1) item lists the pair (132,231) twice",
-        "resolution": "the three 2^(n-1) pair classes are derived by orbit closure (10 pairs)",
-        "evidence": {"pairs": sorted(format_pattern_set(p) for p in _POW2_PAIRS)},
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "n-row-merged-conditions",
-        "kind": "row-correction",
-        "printed": "the count-n row names one T class with 'tau contains a member or tau=3412'",
-        "resolution": "encoded as every count-n triple with containing tau, plus cls{123,132,213,3412} "
-                      "(the 3412 case belongs to the Fibonacci triple, not the printed class)",
-        "evidence": {
-            "counts_special": _counts_for("123;132;213;3412", n_max),
-            "counts_special_mirror": _counts_for("2143;231;312;321", n_max),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "three-row-unproven-class",
-        "kind": "misprint",
-        "printed": "the count-3 row lists {123,231,312,3214}, a class no explicit avoider list covers",
-        "resolution": "oracle confirms count 3 from n = 3",
-        "evidence": {"counts": _counts_for("123;231;312;3214", n_max)},
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "four-row-reps",
-        "kind": "row-correction",
-        "printed": "the count-4 row prints representatives {123,231,312,3421} and {123,231,312,4231}",
-        "resolution": "3421 contains 231 (count n by redundancy); the proven classes are "
-                      "{123,132,213,3421} and {123,132,213,4231}",
-        "evidence": {
-            "counts_printed_rep": _counts_for("123;231;312;3421", 6),
-            "counts_corrected_rep": _counts_for("123;132;213;3421", 6),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "explicit3-witness-typos",
-        "kind": "misprint",
-        "printed": "several 3-element avoider lists print the ascending witness delta_n where T "
-                   "forbids it (items with 123 in T, and the 1234 item); one item prints "
-                   "(2,1,n,...,3) and the 4321 item prints the descending witness",
-        "resolution": "corrected witnesses encoded per family; set equality verified against the "
-                      "enumerator on the full validity range",
-        "evidence": {
-            "example": "123;132;231;3214",
-            "avoiders_n5": sorted(
-                format_pattern_set(frozenset({p}))
-                for p in enumerate_avoiders(5, parse_pattern_set("123;132;231;3214"))
-            ),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "explicit4-lists-swapped",
-        "kind": "misprint",
-        "printed": "the two 4-element avoider lists are printed under each other's extra pattern "
-                   "(and one member repeats 'n-1')",
-        "resolution": "lists swapped back and the garbled member read as (n-1,n,n-2,...,3,1,2); "
-                      "oracle confirms both families",
-        "evidence": {
-            "avoiders_3421_n4": sorted(
-                format_pattern_set(frozenset({p}))
-                for p in enumerate_avoiders(4, parse_pattern_set("123;132;213;3421"))
-            ),
-            "avoiders_4231_n4": sorted(
-                format_pattern_set(frozenset({p}))
-                for p in enumerate_avoiders(4, parse_pattern_set("123;132;213;4231"))
-            ),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "singleton-conclusions-swapped",
-        "kind": "misprint",
-        "printed": "the five-triple singleton rows conclude {(n,...,1)} when 123 is missing and "
-                   "{(1,...,n)} when 321 is missing",
-        "resolution": "conclusions swapped: forbidding everything but 123 leaves the ascending "
-                      "permutation, and vice versa",
-        "evidence": {
-            "avoiders_missing123_n5": [
-                format_pattern_set(frozenset({p}))
-                for p in enumerate_avoiders(5, frozenset(set(S3) - {P123}) | {(2, 1, 4, 3)})
-            ],
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "three-zero-threshold-exception",
-        "kind": "claim-correction",
-        "printed": "the claimed zero threshold for three-triple sets is n >= 6 whenever 123 is in "
-                   "T and t = 4321 (or the mirror condition)",
-        "resolution": "false for the classes of {123,132,213,4321} and {123,231,312,4321}: one "
-                      "avoider survives at n = 6 and the count is zero only from n = 7; the four "
-                      "affected sets carry threshold 7",
-        "evidence": {
-            "counts_fib_triple": _counts_for("123;132;213;4321", 7),
-            "counts_other_triple": _counts_for("123;231;312;4321", 7),
-            "survivor_n6_fib_triple": ";".join(
-                map(format_permutation, enumerate_avoiders(6, parse_pattern_set("123;132;213;4321")))
-            ),
-            "survivor_n6_other_triple": ";".join(
-                map(format_permutation, enumerate_avoiders(6, parse_pattern_set("123;231;312;4321")))
-            ),
-        },
-        "status": "confirmed",
-    })
-
-    findings.append({
-        "id": "fibonacci-indexing",
-        "kind": "threshold-calibration",
-        "printed": "the pair-table Fibonacci row prints f(2n-2) with no initial conditions",
-        "resolution": "under f(1)=f(2)=1 the matching index is f(2n-1) (equivalently the printed "
-                      "index under f(0)=f(1)=1); calibrated against the oracle at n=2..5",
-        "evidence": {
-            "counts_123_1432": _counts_for("123;1432", 5),
-            "f_2n_minus_1": [formulas.fibonacci(2 * n - 1) for n in range(1, 6)],
-        },
-        "status": "confirmed",
-    })
-
     t4 = next(a for a in audits if a.table_id == 4)
-    sizes = {r.row_id: (r.claimed_size, r.computed_size) for r in t4.rows}
-    findings.append({
-        "id": "table4-claimed-sizes",
-        "kind": "claimed-size-mismatch",
-        "printed": "the last table claims row sizes 348, 100 and 56 (sum 504 of a 528-set universe)",
-        "resolution": "the stated zero-row and count-2-row conditions reach 250 and 198 sets; the "
-                      "claimed total 504 is met exactly under the strict-subset premise, leaving "
-                      "the 24 sets with all six length-3 patterns uncovered (surfaced with oracle "
-                      "counts)",
-        "evidence": {
-            "claimed_vs_computed": sizes,
-            "covered": t4.covered,
-            "uncovered": len(t4.uncovered),
-        },
-        "status": "confirmed",
-    })
-
-    return findings
+    return [
+        {
+            "id": fid, "kind": kind, "printed": printed,
+            "resolution": resolution % {"n_max": n_max},
+            "evidence": evidence(n_max, t4), "status": "confirmed",
+        }
+        for fid, kind, printed, resolution, evidence in _FINDINGS
+    ]

@@ -20,7 +20,6 @@ from . import catalog, lifting
 from .enumeration import count_avoiders, enumerate_avoiders
 from .formulas import render
 from .perms import (
-    PatternSyntaxError,
     _parse_word,
     contains,
     find_occurrence,
@@ -215,13 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except UsageError as exc:
-        print(f"permpat: error: {exc}", file=sys.stderr)
-        return 1
-    except PatternSyntaxError as exc:
-        print(f"permpat: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"permpat: error: {exc}", file=sys.stderr)
         return 1
 

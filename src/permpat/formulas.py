@@ -5,12 +5,16 @@ Fibonacci values use the f(1) = f(2) = 1 convention and every row that needs
 a different indexing carries an explicit calibrated index map (see
 ``catalog.CALIBRATION``).  Tribonacci values are seeded t(1), t(2), t(3) =
 1, 2, 4, matching the oracle counts of the row that uses them.
+
+A row whose claim lists its avoiders verbatim is an ``ExplicitFamily``: the
+formula carries its own builder of the avoider set at each n, and its count
+is the size of that set.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Sequence
 
@@ -191,7 +195,6 @@ class Linear:
 @dataclass(frozen=True)
 class Constant:
     value: int
-    from_n: int = 1
 
     def eval(self, n: int) -> int:
         return self.value
@@ -211,20 +214,15 @@ class ZeroBeyond:
         return f"0 (n>={self.from_n})"
 
 
-# generators for rows whose claim lists the avoider sets verbatim; populated
-# by the catalog module at import time
-FAMILY_REGISTRY: dict[str, Callable[[int], frozenset]] = {}
-
-
 @dataclass(frozen=True)
 class ExplicitFamily:
-    name: str
+    """A listed avoider family: ``build(n)`` is the set of avoiders of length n."""
 
-    def family(self, n: int) -> frozenset:
-        return FAMILY_REGISTRY[self.name](n)
+    name: str
+    build: Callable[[int], frozenset] = field(compare=False, repr=False)
 
     def eval(self, n: int) -> int:
-        return len(self.family(n))
+        return len(self.build(n))
 
     def render(self) -> str:
         return f"|explicit avoider list [{self.name}]|"

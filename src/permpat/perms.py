@@ -113,18 +113,27 @@ def _occurrence(perm: Perm, pattern: Perm) -> Optional[tuple[int, ...]]:
     return None
 
 
+def _distinct(word: Sequence[int]) -> tuple[int, ...]:
+    # the matcher compares letters with <, so a repeated letter would pass as
+    # the larger of the two and give a wrong answer instead of an error
+    w = tuple(word)
+    if len(set(w)) != len(w):
+        raise ValueError(f"word has duplicate letters: {w!r}")
+    return w
+
+
 def contains(perm: Perm, pattern: Perm) -> bool:
     """True iff some subsequence of ``perm`` is order-isomorphic to ``pattern``.
 
-    Every permutation contains the empty pattern.  The pattern may be any
-    word with distinct letters; one with a repeated letter raises ValueError.
+    Every permutation contains the empty pattern.  Both arguments may be any
+    words with distinct letters; a repeated letter raises ValueError.
 
     >>> contains((1, 2, 3, 4), (1, 2, 3))
     True
     >>> contains((3, 2, 1), (1, 2))
     False
     """
-    return _occurrence(tuple(perm), standardize(pattern)) is not None
+    return _occurrence(_distinct(perm), standardize(pattern)) is not None
 
 
 def find_occurrence(perm: Perm, pattern: Perm) -> Optional[tuple[int, ...]]:
@@ -137,7 +146,7 @@ def find_occurrence(perm: Perm, pattern: Perm) -> Optional[tuple[int, ...]]:
     >>> find_occurrence((1, 4, 2, 3), (1, 3, 2))
     (1, 2, 3)
     """
-    return _occurrence(tuple(perm), standardize(pattern))
+    return _occurrence(_distinct(perm), standardize(pattern))
 
 
 def avoids_all(perm: Perm, patterns: Iterable[Perm]) -> bool:
@@ -148,7 +157,7 @@ def avoids_all(perm: Perm, patterns: Iterable[Perm]) -> bool:
     >>> avoids_all((1, 2, 3), [(1, 2, 3), (3, 2, 1)])
     False
     """
-    p = tuple(perm)
+    p = _distinct(perm)
     return all(_occurrence(p, standardize(pat)) is None for pat in patterns)
 
 
@@ -204,6 +213,7 @@ def _parse_word(text: str, offset: int = 0) -> list[int]:
     # the letters of a literal, compact digits or separated integers, with no
     # check that they form a permutation
     body = text.strip()
+    lead = len(text) - len(text.lstrip())
     if not body:
         raise PatternSyntaxError("empty permutation literal", offset)
     if any(ch in body for ch in " ,\t"):
@@ -219,8 +229,8 @@ def _parse_word(text: str, offset: int = 0) -> list[int]:
     elif body.isdigit():
         values = [int(ch) for ch in body]
     else:
-        bad = next(i for i, ch in enumerate(text) if not ch.isdigit())
-        raise PatternSyntaxError(f"unexpected character {text[bad]!r}", offset + bad)
+        bad = next(i for i, ch in enumerate(body) if not ch.isdigit())
+        raise PatternSyntaxError(f"unexpected character {body[bad]!r}", offset + lead + bad)
     return values
 
 
@@ -251,20 +261,15 @@ def parse_pattern_set(text: str) -> PatternSet:
     >>> len(parse_pattern_set("123,132,213,3421"))
     4
     """
+    sep = ";"
     if ";" not in text and "," in text:
         try:
             return frozenset({parse_permutation(text)})
         except PatternSyntaxError:
-            pass
-        out = []
-        offset = 0
-        for piece in text.split(","):
-            out.append(parse_permutation(piece, offset))
-            offset += len(piece) + 1
-        return frozenset(out)
+            sep = ","
     out = []
     offset = 0
-    for piece in text.split(";"):
+    for piece in text.split(sep):
         out.append(parse_permutation(piece, offset))
         offset += len(piece) + 1
     return frozenset(out)

@@ -19,7 +19,7 @@ from permpat.enumeration import (
     count_tables,
     enumerate_avoiders,
 )
-from permpat.formulas import FAMILY_REGISTRY, gf_coefficients
+from permpat.formulas import gf_coefficients
 from permpat.lifting import is_redundant, lift, pattern_words, superpatterns
 from permpat.perms import all_permutations, contains, format_pattern_set, parse_pattern_set
 from permpat.symmetry import orbit
@@ -136,12 +136,13 @@ def test_criterion_6_explicit_families():
     singletons = ["123;132;213;231;4312", "123;132;231;312;3214", "132;213;231;312;1234"]
     for lit in nine + two + singletons:
         s = parse_pattern_set(lit)
-        fam = FAMILY_REGISTRY[lit]
+        fam = catalog.EXPLICIT_FAMILIES[s]
         for n in range(5, 9):
-            assert frozenset(enumerate_avoiders(n, s)) == fam(n), (lit, n)
+            assert frozenset(enumerate_avoiders(n, s)) == fam.build(n), (lit, n)
     for lit in singletons:
+        fam = catalog.EXPLICIT_FAMILIES[parse_pattern_set(lit)]
         for n in range(5, 9):
-            assert FAMILY_REGISTRY[lit](n) == frozenset({tuple(range(n, 0, -1))})
+            assert fam.build(n) == frozenset({tuple(range(n, 0, -1))})
     _ok(6, "explicit avoider sets verified as set equality for n = 5..8 "
            "(nine 3-element, two 4-element, three singleton families)")
 

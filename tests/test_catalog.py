@@ -4,7 +4,7 @@ import pytest
 
 from permpat import catalog, enumeration
 from permpat.catalog import (
-    EXPLICIT_FAMILY_SETS,
+    EXPLICIT_FAMILIES,
     TABLE_ROWS,
     assign_entries,
     classify,
@@ -13,7 +13,6 @@ from permpat.catalog import (
     verify,
 )
 from permpat.enumeration import _TABLE_CACHE, count_table
-from permpat.formulas import FAMILY_REGISTRY
 from permpat.perms import format_pattern_set, parse_pattern_set, pattern_set_key
 from permpat.symmetry import partition_into_classes
 
@@ -113,10 +112,9 @@ def test_classify_examples():
 
 
 def test_explicit_families_match_independent_oracle():
-    for s, name in EXPLICIT_FAMILY_SETS.items():
-        fam = FAMILY_REGISTRY[name]
+    for s, fam in EXPLICIT_FAMILIES.items():
         for n in (4, 5):
-            assert fam(n) == frozenset(naive_avoiders(n, s)), name
+            assert fam.build(n) == frozenset(naive_avoiders(n, s)), fam.name
 
 
 def test_verify_small():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from permpat.cli import main
@@ -133,3 +134,21 @@ def test_verify_json_and_csv(tmp_path, capsys):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert header == "table,row_id,set,n,oracle,formula,verdict"
+
+
+def test_verify_report_bytes_pinned(tmp_path, capsys):
+    # the n = 7 report is pinned: the JSON body without its timing fields must
+    # hash to the n = 7 digest in perfbench/reference.json, and the CSV grid
+    # must match its recorded sha256 byte for byte
+    json_path, csv_path = tmp_path / "report.json", tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "verify", "--nmax", "7", "--out", str(json_path))
+    assert code == 0
+    body = {k: v for k, v in json.loads(json_path.read_text()).items()
+            if k not in ("elapsed_seconds", "jobs")}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == "0355b7ffe0d75222c7644ce2b5c3aefefd71288cbe0281c2ebdb263e2a5ab174"
+    code, _, _ = run(capsys, "verify", "--nmax", "7", "--format", "csv", "--out", str(csv_path))
+    assert code == 0
+    grid = csv_path.read_bytes()
+    assert len(grid) == 474_797
+    assert hashlib.sha256(grid).hexdigest() == "2899d7db8d53e3cc76cf7f632b1f84384077f9c8ff9b6970cd0496221d5aaa90"

@@ -120,6 +120,15 @@ def test_malformed_patterns_rejected():
         avoids_all((1, 2, 3), [(5, 5)])
     with pytest.raises(ValueError):
         superpatterns((5, 5), 3)
+    # a repeated letter in the permutation searched is rejected too
+    with pytest.raises(ValueError):
+        contains((1, 1), (1, 2))
+    with pytest.raises(ValueError):
+        contains((1, 2, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        find_occurrence((2, 2, 1), (1, 2))
+    with pytest.raises(ValueError):
+        avoids_all((1, 1), [(1, 2)])
 
 
 def test_table_matches_direct_enumeration_per_n():

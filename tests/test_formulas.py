@@ -93,17 +93,18 @@ def test_rational_gf_eval():
 
 
 def test_constant_and_zero():
-    assert evaluate(Constant(3, 3), 9) == 3
+    assert evaluate(Constant(3), 9) == 3
     assert evaluate(ZeroBeyond(6), 8) == 0
     assert evaluate(TribonacciForm(0), 6) == 24
 
 
-def test_explicit_family_uses_registry():
-    import permpat.catalog  # populates the registry
-
-    fam = ExplicitFamily("123;132;213;231;4312")
+def test_explicit_family_carries_its_builder():
+    # the family needs nothing but its own builder, so no catalog import
+    fam = ExplicitFamily("123;132;213;231;4312", lambda n: frozenset({tuple(range(n, 0, -1))}))
     assert evaluate(fam, 6) == 1
-    assert fam.family(4) == frozenset({(4, 3, 2, 1)})
+    assert fam.build(4) == frozenset({(4, 3, 2, 1)})
+    assert fam == ExplicitFamily("123;132;213;231;4312", lambda n: frozenset())
+    assert render(fam) == "|explicit avoider list [123;132;213;231;4312]|"
 
 
 def test_render_strings():

@@ -177,9 +177,16 @@ def test_literal_round_trip():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(PatternSyntaxError) as err:
-        parse_pattern_set("123;14x2")
-    assert err.value.position >= 4
+    # positions count from the start of the whole literal, leading blanks too
+    for parse, literal, position in (
+        (parse_pattern_set, "123;14x2", 6),
+        (parse_permutation, " 3x", 2),
+        (parse_pattern_set, "123; 1x", 6),
+    ):
+        with pytest.raises(PatternSyntaxError) as err:
+            parse(literal)
+        assert err.value.position == position
+        assert "unexpected character 'x'" in str(err.value)
     with pytest.raises(PatternSyntaxError):
         parse_permutation("")
     with pytest.raises(PatternSyntaxError):
