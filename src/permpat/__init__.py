@@ -18,7 +18,6 @@ from .enumeration import (
     count_table,
     count_tables,
     enumerate_avoiders,
-    insert_max,
 )
 from .lifting import NuImage, is_redundant, lift, lift_power, pattern_words, superpatterns
 from .perms import (
@@ -51,7 +50,6 @@ __all__ = [
     "find_occurrence",
     "format_pattern_set",
     "format_permutation",
-    "insert_max",
     "inverse",
     "is_order_isomorphic",
     "is_redundant",

@@ -452,7 +452,6 @@ class PairCheck:
 @dataclass
 class RowAudit:
     row_id: str
-    table: int
     representative: str
     claimed_size: int
     computed_size: int
@@ -623,7 +622,7 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
         assignment = assignments[tid]
         row_stats = {
             row.row_id: RowAudit(
-                row_id=row.row_id, table=tid, representative=row.representative,
+                row_id=row.row_id, representative=row.representative,
                 claimed_size=row.claimed_size, computed_size=0,
                 formula=render(row.formula), citation=row.citation,
                 matches=0, mismatches=0,

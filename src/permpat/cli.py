@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error (bad literal, cap exceeded), 2 when
-``verify`` found formula/oracle mismatches outside the pre-registered
-findings.  The hard cap on n (default 11) keeps runs desk-scale; override
-with the PERMPAT_NMAX_CAP environment variable.
+Exit codes: 0 success, 1 usage error (bad literal, cap exceeded) or a failed
+run (a worker process died), 2 when ``verify`` found formula/oracle
+mismatches outside the pre-registered findings.  The hard cap on n (default
+11) keeps runs desk-scale; override with the PERMPAT_NMAX_CAP environment
+variable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import catalog, lifting
-from .enumeration import count_avoiders, enumerate_avoiders
+from .enumeration import WorkerError, count_avoiders, enumerate_avoiders
 from .formulas import render
 from .perms import (
     _parse_word,
@@ -214,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, WorkerError) as exc:
         print(f"permpat: error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,7 +33,6 @@ depth m is |S_m(T)|, so the per-depth tally is the whole table.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -185,12 +184,45 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
     return out
 
 
-# count tables are memoized per pattern set at the largest n seen so far
+# count tables are memoized per pattern set at the largest n seen so far;
+# _fill is the only function that writes here
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
+
+
+class WorkerError(RuntimeError):
+    """A worker process of ``count_tables`` died before returning its tables."""
 
 
 def _compute_counts(patterns: PatternSet, n_max: int) -> tuple[int, ...]:
     return tuple(_run_main(n_max, patterns, collect=False)[0])
+
+
+def _table_worker(patterns: PatternSet, n_max: int) -> tuple[int, ...]:
+    # module-level so a pool can pickle it; _compute_counts is looked up at
+    # call time, so a replacement installed before a fork reaches the workers
+    return _compute_counts(patterns, n_max)
+
+
+def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
+    """Make ``_TABLE_CACHE`` hold every set's table to at least ``n_max``."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    todo = [t for t in dict.fromkeys(sets) if len(_TABLE_CACHE.get(t, ())) <= n_max]
+    if not todo:
+        return
+    ns = [n_max] * len(todo)
+    if jobs is None or jobs <= 1:
+        results = map(_table_worker, todo, ns)
+    else:
+        # imported here: the pool machinery would add to every import of permpat
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(jobs) as pool:
+                results = list(pool.map(_table_worker, todo, ns, chunksize=8))
+        except BrokenProcessPool as exc:
+            raise WorkerError(f"a count worker process died: {exc}") from exc
+    _TABLE_CACHE.update(zip(todo, results))
 
 
 def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
@@ -200,14 +232,9 @@ def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
     the number of nodes at depth n is the count itself.  Raises ValueError if
     a member of t is not a permutation.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     patterns = pattern_set(t)
-    cached = _TABLE_CACHE.get(patterns)
-    if cached is None or len(cached) <= n_max:
-        cached = _compute_counts(patterns, n_max)
-        _TABLE_CACHE[patterns] = cached
-    return CountTable(patterns, cached[: n_max + 1])
+    _fill([patterns], n_max, None)
+    return CountTable(patterns, _TABLE_CACHE[patterns][: n_max + 1])
 
 
 def count_avoiders(n: int, t: Iterable[Sequence[int]]) -> int:
@@ -215,42 +242,13 @@ def count_avoiders(n: int, t: Iterable[Sequence[int]]) -> int:
     return count_table(t, n).counts[n]
 
 
-def _table_worker(args) -> tuple[int, ...]:
-    patterns, n_max = args
-    return _compute_counts(frozenset(patterns), n_max)
-
-
 def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Optional[int] = None) -> list[CountTable]:
     """Count tables for many pattern sets, optionally across worker processes.
 
-    Results come back in input order regardless of the worker count, and are
-    merged into the in-process memo so later lookups are free.
+    Results come back in input order regardless of the worker count, and
+    share the memo of ``count_table``.  If a pool worker process dies, the
+    call raises ``WorkerError``, a ``RuntimeError``, and returns nothing.
     """
     normalized = [pattern_set(t) for t in sets]
-    if jobs is None or jobs <= 1:
-        return [count_table(t, n_max) for t in normalized]
-    todo = [t for t in set(normalized) if len(_TABLE_CACHE.get(t, ())) <= n_max]
-    todo.sort(key=lambda t: sorted(t))
-    if todo:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_table_worker, [(tuple(t), n_max) for t in todo], chunksize=8)
-        for t, counts in zip(todo, results):
-            _TABLE_CACHE[t] = counts
+    _fill(normalized, n_max, jobs)
     return [CountTable(t, _TABLE_CACHE[t][: n_max + 1]) for t in normalized]
-
-
-def insert_max(p: Perm, j: int) -> Perm:
-    """Insert the new maximum n+1 before position j (1-based, j = n+1 appends).
-
-    Containment of any pattern is preserved: an occurrence in p is untouched
-    by the insertion.
-
-    >>> insert_max((1, 2), 1)
-    (3, 1, 2)
-    >>> insert_max((2, 1, 3), 4)
-    (2, 1, 3, 4)
-    """
-    n = len(p)
-    if not 1 <= j <= n + 1:
-        raise ValueError(f"insert position {j} out of range 1..{n + 1}")
-    return p[: j - 1] + (n + 1,) + p[j - 1 :]

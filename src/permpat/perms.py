@@ -263,9 +263,11 @@ def parse_pattern_set(text: str) -> PatternSet:
     """
     sep = ";"
     if ";" not in text and "," in text:
+        # tokenize once, so a bad token is reported where it stands
+        values = _parse_word(text)
         try:
-            return frozenset({parse_permutation(text)})
-        except PatternSyntaxError:
+            return frozenset({check_permutation(values)})
+        except ValueError:
             sep = ","
     out = []
     offset = 0

@@ -5,11 +5,19 @@ from the definitions (sort-and-rank, scan over all subsequences), so tests
 that compare the library against them are genuine cross-checks rather than
 the same code calling itself.  ``PATTERN_SETS`` is the hypothesis strategy
 the property tests share: sets of 1-3 patterns of length 1-6.
+``dying_worker`` is the one fixture that reaches into the package: it makes
+a pool worker die, to check that the caller gets an error instead of a hang.
 """
 
 import itertools
+import multiprocessing
+import os
+import signal
 
+import pytest
 from hypothesis import strategies as st
+
+from permpat import enumeration
 
 PATTERNS = st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
 PATTERN_SETS = st.frozensets(PATTERNS, min_size=1, max_size=3)
@@ -37,3 +45,34 @@ def naive_avoiders(n, patterns):
         for p in itertools.permutations(range(1, n + 1))
         if not any(brute_contains(p, pat) for pat in patterns)
     ]
+
+
+@pytest.fixture
+def dying_worker(monkeypatch):
+    """Forked count workers exit at once on any set holding 123.
+
+    The test process itself still counts such sets.  The memo starts empty,
+    so every set is searched, and is the value of the fixture.  The test fails
+    after 20 s instead of hanging if the caller never notices the dead worker.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the replacement reaches the workers only when they are forked")
+    parent = os.getpid()
+    real = enumeration._compute_counts
+
+    def compute(patterns, n_max):
+        if (1, 2, 3) in patterns and os.getpid() != parent:
+            os._exit(9)
+        return real(patterns, n_max)
+
+    def expire(signum, frame):
+        pytest.fail("still blocked 20 s after a worker died")
+
+    cache = {}
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", cache)
+    monkeypatch.setattr(enumeration, "_compute_counts", compute)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield cache
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -152,3 +152,11 @@ def test_verify_report_bytes_pinned(tmp_path, capsys):
     grid = csv_path.read_bytes()
     assert len(grid) == 474_797
     assert hashlib.sha256(grid).hexdigest() == "2899d7db8d53e3cc76cf7f632b1f84384077f9c8ff9b6970cd0496221d5aaa90"
+
+
+def test_verify_dead_worker_exits_one(dying_worker, capsys):
+    # a failed run is one error line and exit code 1, with no traceback
+    code, out, err = run(capsys, "verify", "--nmax", "5", "--jobs", "2")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("permpat: error: ")

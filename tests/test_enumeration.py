@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
@@ -12,7 +13,6 @@ from permpat.enumeration import (
     count_table,
     count_tables,
     enumerate_avoiders,
-    insert_max,
 )
 from permpat.lifting import superpatterns
 from permpat.perms import all_permutations, avoids_all, contains, find_occurrence, parse_pattern_set
@@ -183,22 +183,13 @@ def test_count_tables_batch_parallel():
     assert serial[0].counts == serial[3].counts
 
 
-def test_insert_max():
-    assert insert_max((1, 2), 1) == (3, 1, 2)
-    assert insert_max((2, 1, 3), 4) == (2, 1, 3, 4)
-    assert insert_max((), 1) == (1,)
-    with pytest.raises(ValueError):
-        insert_max((1, 2), 0)
-    with pytest.raises(ValueError):
-        insert_max((1, 2), 4)
-
-
 def test_insert_max_preserves_containment():
     patterns = S3 + S4
     for p in all_permutations(5):
         present = [tau for tau in patterns if contains(p, tau)]
-        for j in range(1, 7):
-            q = insert_max(p, j)
+        for j in range(6):
+            # the new maximum 6 inserted before position j
+            q = p[:j] + (6,) + p[j:]
             for tau in present:
                 assert contains(q, tau)
 
@@ -208,3 +199,17 @@ def test_negative_n_rejected():
         enumerate_avoiders(-1, [(1, 2)])
     with pytest.raises(ValueError):
         count_table([(1, 2)], -1)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError):
+            count_tables([{(1, 2)}], -1, jobs=jobs)
+
+
+def test_dead_worker_raises(dying_worker):
+    # a worker that dies must end the call with an error, not hang it, and
+    # the memo must not gain a partial answer
+    sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}]
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="worker process died"):
+        count_tables(sets, 6, jobs=2)
+    assert time.monotonic() - started < 5
+    assert dying_worker == {}

@@ -178,15 +178,17 @@ def test_literal_round_trip():
 
 def test_parse_errors_carry_position():
     # positions count from the start of the whole literal, leading blanks too
-    for parse, literal, position in (
-        (parse_pattern_set, "123;14x2", 6),
-        (parse_permutation, " 3x", 2),
-        (parse_pattern_set, "123; 1x", 6),
+    for parse, literal, position, message in (
+        (parse_pattern_set, "123;14x2", 6, "unexpected character 'x'"),
+        (parse_permutation, " 3x", 2, "unexpected character 'x'"),
+        (parse_pattern_set, "123; 1x", 6, "unexpected character 'x'"),
+        # a comma literal is tokenized once, so the bad token itself is named
+        (parse_pattern_set, "1,2,x", 4, "not an integer: 'x'"),
     ):
         with pytest.raises(PatternSyntaxError) as err:
             parse(literal)
         assert err.value.position == position
-        assert "unexpected character 'x'" in str(err.value)
+        assert message in str(err.value)
     with pytest.raises(PatternSyntaxError):
         parse_permutation("")
     with pytest.raises(PatternSyntaxError):
