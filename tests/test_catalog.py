@@ -14,7 +14,7 @@ from permpat.catalog import (
 )
 from permpat.enumeration import _TABLE_CACHE, count_table
 from permpat.perms import format_pattern_set, parse_pattern_set, pattern_set_key
-from permpat.symmetry import partition_into_classes
+from permpat.symmetry import orbit, partition_into_classes
 
 from conftest import naive_avoiders
 
@@ -206,3 +206,38 @@ def test_verify_report_independent_of_jobs_and_cache():
     warm = body(verify(7))
     assert pooled == cold
     assert warm == cold
+
+
+def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, capsys):
+    # one wrong oracle value on one orbit must surface everywhere the report
+    # shows a mismatch: the open findings, the row audit, the CSV grid and the
+    # exit code of the command line
+    from permpat.cli import main
+
+    target = orbit(parse_pattern_set("123;132;3214")).representative
+    compute = enumeration._compute_counts
+
+    def off_by_one(patterns, n_max):
+        counts = compute(patterns, n_max)
+        if patterns == target and n_max >= 5:
+            counts = counts[:5] + (counts[5] + 1,) + counts[6:]
+        return counts
+
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    monkeypatch.setattr(enumeration, "_compute_counts", off_by_one)
+    report = verify(6)
+    bad = ["123;132;3214", "123;213;1432", "231;321;4123", "312;321;2341"]
+    assert [p.literal for p in report.unexpected_mismatches] == bad
+    open_findings = [f for f in report.findings if f["status"] == "open"]
+    assert [f["id"] for f in open_findings] == [f"unexpected-mismatch:{lit}" for lit in bad]
+    assert all(f["kind"] == "unexpected-mismatch" and f["printed"] == "2.tribonacci" for f in open_findings)
+    assert [f["evidence"] for f in open_findings] == [{"set": lit, "mismatch_ns": [5]} for lit in bad]
+    row = next(r for r in report.table(2).rows if r.row_id == "2.tribonacci")
+    assert (row.computed_size, row.matches, row.mismatches) == (6, 2, 4)
+    cells = [r for r in report.to_csv_rows()[1:] if r[6] == "mismatch"]
+    assert cells == [[2, "2.tribonacci", lit, 5, 14, 13, "mismatch"] for lit in bad]
+
+    code = main(["verify", "--nmax", "6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "verification found 4 unexpected mismatches"
