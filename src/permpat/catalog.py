@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -62,12 +63,12 @@ from .formulas import (
 from .perms import (
     PatternSet,
     Perm,
+    all_permutations,
     contains,
     format_pattern_set,
     format_permutation,
     parse_pattern_set,
     pattern_set_key,
-    sym_group,
 )
 from .symmetry import SymmetryOrbit, apply_set, orbit, partition_into_classes
 
@@ -77,8 +78,8 @@ P123, P132, P213, P231, P312, P321 = (
 P1234 = (1, 2, 3, 4)
 P4321 = (4, 3, 2, 1)
 
-S3 = sorted(sym_group(3))
-S4 = sorted(sym_group(4))
+S3 = list(all_permutations(3))
+S4 = list(all_permutations(4))
 
 
 class CatalogIntegrityError(RuntimeError):
@@ -387,10 +388,7 @@ def _assign(
 ) -> dict[PatternSet, Optional[CatalogEntry]]:
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
     for s in universe:
-        tid = table_of(s)
-        if tid is None:
-            out[s] = None
-            continue
+        tid = table_of(s)  # None outside the four universes, so no row is hit
         hits = [row for row in TABLE_ROWS if row.table == tid and row.matches(s)]
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
@@ -474,12 +472,32 @@ class RowAudit:
 
 @dataclass
 class TableAudit:
+    """A table's pair checks in universe order, and the audit derived from them."""
+
     table_id: int
-    universe: int
-    covered: int
-    claimed_total: int
-    rows: list[RowAudit]
-    uncovered: list[PairCheck]
+    checks: list[PairCheck]
+    universe: int = field(init=False)
+    covered: int = field(init=False)
+    claimed_total: int = field(init=False)
+    rows: list[RowAudit] = field(init=False)
+    uncovered: list[PairCheck] = field(init=False)
+
+    def __post_init__(self) -> None:
+        tally = Counter((c.row_id, c.verdict) for c in self.checks)
+        rows = [row for row in TABLE_ROWS if row.table == self.table_id]
+        self.rows = [
+            RowAudit(
+                row_id=row.row_id, representative=row.representative, claimed_size=row.claimed_size,
+                computed_size=tally[row.row_id, "match"] + tally[row.row_id, "mismatch"],
+                formula=render(row.formula), citation=row.citation,
+                matches=tally[row.row_id, "match"], mismatches=tally[row.row_id, "mismatch"],
+            )
+            for row in rows
+        ]
+        self.uncovered = [c for c in self.checks if c.row_id is None]
+        self.universe = len(self.checks)
+        self.covered = self.universe - len(self.uncovered)
+        self.claimed_total = sum(row.claimed_size for row in rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -531,18 +549,17 @@ class VerificationReport:
 
     def to_csv_rows(self) -> list[list]:
         rows: list[list] = [["table", "row_id", "set", "n", "oracle", "formula", "verdict"]]
-        for s in sorted(self.pairs, key=pattern_set_key):
-            p = self.pairs[s]
-            tid = table_of(s)
-            for n in range(1, self.n_max + 1):
-                if p.verdict == "uncovered":
-                    rows.append([tid, "", p.literal, n, p.counts[n], "", "uncovered"])
-                elif n < p.valid_from:
-                    rows.append([tid, p.row_id, p.literal, n, p.counts[n], "", "below-threshold-skipped"])
-                else:
-                    val = p.formula_values[n - 1]
-                    verdict = "mismatch" if n in p.mismatch_ns else "match"
-                    rows.append([tid, p.row_id, p.literal, n, p.counts[n], val, verdict])
+        # tables hold increasing set sizes, so table order is canonical set order
+        for t in self.tables:
+            for p in t.checks:
+                for n in range(1, self.n_max + 1):
+                    if p.verdict == "uncovered":
+                        tail = ["", "uncovered"]
+                    elif n < p.valid_from:
+                        tail = ["", "below-threshold-skipped"]
+                    else:
+                        tail = [p.formula_values[n - 1], "mismatch" if n in p.mismatch_ns else "match"]
+                    rows.append([t.table_id, p.row_id or "", p.literal, n, p.counts[n], *tail])
         return rows
 
 
@@ -610,69 +627,23 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
         raise ValueError("n_max must be at least 1")
     started = time.perf_counter()
     universes = {tid: expand_universe(tid) for tid in (1, 2, 3, 4)}
-    orbits = partition_into_classes(s for u in universes.values() for s in u)
-    representatives = _representatives(orbits)
-    assignments = {tid: _assign(u, representatives) for tid, u in universes.items()}
+    members = [s for u in universes.values() for s in u]
+    orbits = partition_into_classes(members)
+    entries = _assign(members, _representatives(orbits))
     tables = count_tables([o.representative for o in orbits], n_max, jobs)
     counts = {m: table.counts for o, table in zip(orbits, tables) for m in o.members}
-
-    pairs: dict[PatternSet, PairCheck] = {}
-    audits: list[TableAudit] = []
-    for tid, universe in universes.items():
-        assignment = assignments[tid]
-        row_stats = {
-            row.row_id: RowAudit(
-                row_id=row.row_id, representative=row.representative,
-                claimed_size=row.claimed_size, computed_size=0,
-                formula=render(row.formula), citation=row.citation,
-                matches=0, mismatches=0,
-            )
-            for row in TABLE_ROWS
-            if row.table == tid
-        }
-        uncovered: list[PairCheck] = []
-        covered = 0
-        for s in universe:
-            check = _check_pair(s, assignment[s], counts[s], n_max)
-            pairs[s] = check
-            if check.row_id is None:
-                uncovered.append(check)
-                continue
-            covered += 1
-            stats = row_stats[check.row_id]
-            stats.computed_size += 1
-            if check.verdict == "match":
-                stats.matches += 1
-            else:
-                stats.mismatches += 1
-        audits.append(TableAudit(
-            table_id=tid,
-            universe=len(universe),
-            covered=covered,
-            claimed_total=sum(r.claimed_size for r in TABLE_ROWS if r.table == tid),
-            rows=list(row_stats.values()),
-            uncovered=uncovered,
-        ))
-
+    audits = [
+        TableAudit(tid, [_check_pair(s, entries[s], counts[s], n_max) for s in universe])
+        for tid, universe in universes.items()
+    ]
     findings = _build_findings(n_max, audits)
-    for check in pairs.values():
-        if check.verdict == "mismatch":
-            findings.append({
-                "id": f"unexpected-mismatch:{check.literal}",
-                "kind": "unexpected-mismatch",
-                "printed": check.row_id,
-                "resolution": "formula disagrees with the oracle; investigate",
-                "evidence": {"set": check.literal, "mismatch_ns": list(check.mismatch_ns)},
-                "status": "open",
-            })
-
     return VerificationReport(
         n_max=n_max,
         jobs=jobs,
         elapsed_seconds=time.perf_counter() - started,
         tables=audits,
         findings=findings,
-        pairs=pairs,
+        pairs={c.pattern_set: c for a in audits for c in a.checks},
         calibration=CALIBRATION,
     )
 
@@ -821,7 +792,8 @@ _FINDINGS: tuple[tuple[str, str, str, str, Callable[[int, TableAudit], dict]], .
 
 
 def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
-    """Pre-registered misprint findings, each with recomputed evidence."""
+    """Pre-registered misprint findings with recomputed evidence, then one open
+    finding per mismatched pair."""
     t4 = next(a for a in audits if a.table_id == 4)
     return [
         {
@@ -830,4 +802,11 @@ def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
             "evidence": evidence(n_max, t4), "status": "confirmed",
         }
         for fid, kind, printed, resolution, evidence in _FINDINGS
+    ] + [
+        {
+            "id": f"unexpected-mismatch:{c.literal}", "kind": "unexpected-mismatch",
+            "printed": c.row_id, "resolution": "formula disagrees with the oracle; investigate",
+            "evidence": {"set": c.literal, "mismatch_ns": list(c.mismatch_ns)}, "status": "open",
+        }
+        for a in audits for c in a.checks if c.verdict == "mismatch"
     ]

@@ -188,6 +188,9 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
 # _fill is the only function that writes here
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
 
+# sets handed to a pool worker at a time
+_CHUNK = 8
+
 
 class WorkerError(RuntimeError):
     """A worker process of ``count_tables`` died before returning its tables."""
@@ -217,9 +220,10 @@ def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
         # imported here: the pool machinery would add to every import of permpat
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+        # a fork pool starts all its workers at once: no more than there are chunks
         try:
-            with ProcessPoolExecutor(jobs) as pool:
-                results = list(pool.map(_table_worker, todo, ns, chunksize=8))
+            with ProcessPoolExecutor(min(jobs, -(-len(todo) // _CHUNK))) as pool:
+                results = list(pool.map(_table_worker, todo, ns, chunksize=_CHUNK))
         except BrokenProcessPool as exc:
             raise WorkerError(f"a count worker process died: {exc}") from exc
     _TABLE_CACHE.update(zip(todo, results))

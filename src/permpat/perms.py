@@ -12,7 +12,6 @@ every value is at most 9 ("3412") or as space/comma separated values
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -164,12 +163,6 @@ def avoids_all(perm: Perm, patterns: Iterable[Perm]) -> bool:
 def all_permutations(n: int):
     """All of S_n in lexicographic order, as tuples over 1..n."""
     return itertools.permutations(range(1, n + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def sym_group(n: int) -> PatternSet:
-    """S_n as a frozenset."""
-    return frozenset(all_permutations(n))
 
 
 def pattern_set(patterns: Iterable[Sequence[int]]) -> PatternSet:

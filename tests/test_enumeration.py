@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import itertools
 import random
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpat import enumeration
 from permpat.enumeration import (
     _TABLE_CACHE,
     count_avoiders,
@@ -213,3 +215,30 @@ def test_dead_worker_raises(dying_worker):
         count_tables(sets, 6, jobs=2)
     assert time.monotonic() - started < 5
     assert dying_worker == {}
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # a fork pool starts all max_workers processes at once, so the pool size
+    # must be capped by the number of 8-set chunks; the fake starts nothing
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    assert count_tables([{p} for p in S3[:3]], 5, jobs=64)[0].counts[5] == 42
+    assert len(count_tables([{p} for p in S4[:17]], 5, jobs=64)) == 17
+    enumeration._TABLE_CACHE.clear()
+    count_tables([{p} for p in S4[:17]], 5, jobs=2)
+    assert sizes == [1, 3, 2]
