@@ -72,9 +72,7 @@ from .perms import (
 )
 from .symmetry import SymmetryOrbit, apply_set, orbit, partition_into_classes
 
-P123, P132, P213, P231, P312, P321 = (
-    (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-)
+P123, P213, P321 = (1, 2, 3), (2, 1, 3), (3, 2, 1)
 P1234 = (1, 2, 3, 4)
 P4321 = (4, 3, 2, 1)
 
@@ -287,7 +285,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              "direct recurrences", Linear(3, -5), 3,
              matches=_member_of(_3N5_ORBITS)),
     TableRow(2, "2.tribonacci", "cls{123,132,3214}, cls{123,213,1432}, cls{132,213,1234}", 6,
-             "three-term recurrence", TribonacciForm(0), 1,
+             "three-term recurrence", TribonacciForm(), 1,
              matches=_member_of(_TRIB_ORBITS)),
 
     # ---- three length-3 patterns plus one length-4 pattern (480 sets)
@@ -358,8 +356,7 @@ def expand_universe(table_id: int) -> list[PatternSet]:
 def table_of(s: PatternSet) -> Optional[int]:
     """Which table universe a set belongs to, if any."""
     threes = _threes(s)
-    fours = [p for p in s if len(p) == 4]
-    if len(fours) != 1 or not threes or len(threes) + 1 != len(s):
+    if _tau(s) is None or not threes or len(threes) + 1 != len(s):
         return None
     return min(len(threes), 4)
 
@@ -406,10 +403,7 @@ def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[
 def classify(t: Iterable[Perm], n_max: int) -> tuple[Optional[CatalogEntry], CountTable]:
     """Catalog entry (if the set is in a covered universe) plus oracle counts."""
     s = frozenset(tuple(p) for p in t)
-    table = count_table(s, n_max)
-    if table_of(s) is None:
-        return None, table
-    return assign_entries([s])[s], table
+    return assign_entries([s])[s], count_table(s, n_max)
 
 
 # --- verification ------------------------------------------------------------

@@ -193,6 +193,8 @@ def _run(args) -> int:
 
     if args.command == "verify":
         _check_cap(args.nmax)
+        if args.jobs is not None and args.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         report = catalog.verify(args.nmax, jobs=args.jobs)
         if args.format == "json":
             _emit(json.dumps(report.to_json_dict(), indent=2), args.out)

@@ -43,13 +43,9 @@ def tribonacci(m: int) -> int:
     if m < 1:
         raise ValueError(f"tribonacci index must be >= 1, got {m}")
     a, b, c = 1, 2, 4
-    if m == 1:
-        return a
-    if m == 2:
-        return b
-    for _ in range(m - 3):
+    for _ in range(m - 1):
         a, b, c = b, c, a + b + c
-    return c
+    return a
 
 
 def gf_coefficients(num: Sequence[int], den: Sequence[int], n_max: int) -> list[int]:
@@ -156,14 +152,11 @@ class FibonacciForm:
 
 @dataclass(frozen=True)
 class TribonacciForm:
-    offset: int = 0
-
     def eval(self, n: int) -> int:
-        return tribonacci(n + self.offset)
+        return tribonacci(n)
 
     def render(self) -> str:
-        idx = "n" if not self.offset else f"n{self.offset:+d}"
-        return f"t({idx}) [t(1),t(2),t(3)=1,2,4]"
+        return "t(n) [t(1),t(2),t(3)=1,2,4]"
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ class RationalGF:
     den: tuple[int, ...]
 
     def eval(self, n: int) -> int:
-        return _gf_prefix(self.num, self.den, n)[n]
+        return gf_coefficients(self.num, self.den, n)[n]
 
     def render(self) -> str:
         return f"[x^n] {_render_poly(self.num)}/({_render_poly(self.den)})"
@@ -252,9 +245,9 @@ def render(formula: CountFormula) -> str:
     return formula.render()
 
 
-@functools.lru_cache(maxsize=None)
-def _gf_prefix(num: tuple[int, ...], den: tuple[int, ...], n_max: int) -> tuple[int, ...]:
-    return tuple(gf_coefficients(num, den, n_max))
+def _signed(c: int, base: str) -> str:
+    # a signed term c*base; a unit coefficient shows only its sign
+    return {1: "+", -1: "-"}.get(c, f"{c:+d}") + base
 
 
 def _render_terms(terms, constant, leading=True) -> str:
@@ -265,12 +258,7 @@ def _render_terms(terms, constant, leading=True) -> str:
             base = arg if not off else f"({arg})"
         else:
             base = f"C({arg},{k})"
-        if c == 1:
-            parts.append(f"+{base}")
-        elif c == -1:
-            parts.append(f"-{base}")
-        else:
-            parts.append(f"{c:+d}{base}")
+        parts.append(_signed(c, base))
     if constant:
         parts.append(f"{constant:+d}")
     s = "".join(parts)
@@ -284,14 +272,5 @@ def _render_poly(coeffs) -> str:
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
-        if i == 0:
-            parts.append(f"{c}")
-        else:
-            x = "x" if i == 1 else f"x^{i}"
-            if c == 1:
-                parts.append(f"+{x}")
-            elif c == -1:
-                parts.append(f"-{x}")
-            else:
-                parts.append(f"{c:+d}{x}")
+        parts.append(f"{c}" if i == 0 else _signed(c, "x" if i == 1 else f"x^{i}"))
     return "".join(parts) or "0"

@@ -1,10 +1,12 @@
 """Reversal/inverse symmetries, their group action on pattern sets, and orbits.
 
-The two generators are ``r`` (reverse the one-line word) and ``i`` (group
-inverse).  Both are involutions, so the group they generate has order at most
-8 and every orbit of pattern sets has size 1, 2, 4 or 8.  All members of one
-orbit have equinumerous avoider sets, which is what makes orbits the right
-unit for the classification tables.
+The generators ``r`` (reverse the one-line word) and ``i`` (group inverse)
+reflect the permutation diagram in a vertical axis and in the main diagonal.
+Their product is a quarter turn, so they generate exactly the eight symmetries
+of the square, and ``orbit`` walks that group by applying r and i alternately:
+r, i, r, i, r, i, r reaches all eight images in seven steps.  Every orbit of
+pattern sets has size 1, 2, 4 or 8, and all its members have equinumerous
+avoider sets, which makes orbits the right unit for the classification tables.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perms import Perm, PatternSet, format_pattern_set, pattern_set, pattern_set_key
-
-GENERATORS = "ri"
 
 
 def reverse(p: Perm) -> Perm:
@@ -97,7 +97,7 @@ class SymmetryOrbit:
 
 
 def orbit(t: Iterable[Sequence[int]]) -> SymmetryOrbit:
-    """Closure of a pattern set under r and i, with canonical representative.
+    """The eight images of a pattern set under r and i, with canonical representative.
 
     The representative is the orbit member minimal under (set cardinality,
     sorted pattern list, patterns ordered by length then lexicographically).
@@ -107,20 +107,13 @@ def orbit(t: Iterable[Sequence[int]]) -> SymmetryOrbit:
     >>> sorted(format_pattern_set(m) for m in o.members)
     ['123', '321']
     """
-    start = pattern_set(t)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for ops in GENERATORS:
-                img = apply_set(ops, s)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    rep = min(seen, key=pattern_set_key)
-    return SymmetryOrbit(frozenset(seen), rep)
+    s = pattern_set(t)
+    images = [s]
+    for op in "riririr":
+        s = apply_set(op, s)
+        images.append(s)
+    members = frozenset(images)
+    return SymmetryOrbit(members, min(members, key=pattern_set_key))
 
 
 def partition_into_classes(sets: Iterable[Iterable[Sequence[int]]]) -> list[SymmetryOrbit]:

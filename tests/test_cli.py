@@ -95,6 +95,11 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "cap" in err
     code, _, err = run(capsys, "count", "--set", "132")
     assert code == 1
+    # a worker count below 1 is refused before any work, so stdout stays empty
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--nmax", "1", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("permpat: error:")
 
 
 def test_cap_override(capsys, monkeypatch):

@@ -95,7 +95,7 @@ def test_rational_gf_eval():
 def test_constant_and_zero():
     assert evaluate(Constant(3), 9) == 3
     assert evaluate(ZeroBeyond(6), 8) == 0
-    assert evaluate(TribonacciForm(0), 6) == 24
+    assert evaluate(TribonacciForm(), 6) == 24
 
 
 def test_explicit_family_carries_its_builder():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpat.catalog import expand_universe
 from permpat.enumeration import count_avoiders, count_table
-from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set
+from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set, pattern_set_key
 from permpat.symmetry import (
     apply_op,
     apply_set,
@@ -88,11 +89,44 @@ def test_orbit_sizes_divide_eight():
         assert o.representative in o.members
 
 
+def _closure(t):
+    # breadth-first closure under reversal and inverse, written without
+    # package code so that it checks orbit's walk of the group independently
+    def inv(p):
+        q = [0] * len(p)
+        for j, v in enumerate(p):
+            q[v - 1] = j + 1
+        return tuple(q)
+
+    seen, frontier = {t}, [t]
+    while frontier:
+        images = {img for s in frontier
+                  for img in (frozenset(p[::-1] for p in s), frozenset(inv(p) for p in s))}
+        frontier = list(images - seen)
+        seen |= images
+    return frozenset(seen)
+
+
+def _assert_orbit_is_closure(t):
+    o = orbit(t)
+    assert o.members == _closure(frozenset(t))
+    assert o.representative == min(o.members, key=pattern_set_key)
+
+
 def test_orbit_closed_under_generators():
     o = orbit(parse_pattern_set("123;132;3412"))
     for m in o.members:
         assert apply_set("r", m) in o.members
         assert apply_set("i", m) in o.members
+    for tid in (1, 2, 3, 4):
+        for s in expand_universe(tid):
+            _assert_orbit_is_closure(s)
+
+
+@settings(deadline=None, max_examples=200)
+@given(PATTERN_SETS)
+def test_orbit_equals_independent_closure(t):
+    _assert_orbit_is_closure(t)
 
 
 def test_counting_invariant_across_orbit():
