@@ -609,10 +609,12 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     """Compare every covered pair against the oracle and audit the tables.
 
     The four table universes are partitioned once into reverse/inverse orbits
-    (283 of them for the 1,512 sets).  The oracle searches one representative per
-    orbit, spreading those searches over ``jobs`` worker processes, and every
-    member is given its representative's count table: avoider counts are
-    invariant on an orbit (Simion-Schmidt).  The counts are shared only here;
+    (283 of them for the 1,512 sets).  The oracle counts one representative per
+    orbit, with one walk for each chunk of up to 8 representatives that share
+    their length-3 patterns, spread over ``jobs`` worker processes (None or 1
+    for none; below 1 raises ValueError).  Every member is given its
+    representative's count table: avoider counts are invariant on an orbit
+    (Simion-Schmidt).  The counts are shared only here;
     ``count_table`` and ``classify`` always search the set they are given.
     The formula, threshold, class-size and explicit-family set checks still
     run on every member.

@@ -25,15 +25,22 @@ order relations allow.  The last free slot is never placed: the slot before
 it is scanned right to left with a bitmask of the values further right, and
 an interval with an endpoint at the free slot needs only the least or the
 greatest candidate in that bitmask, so a length-4 pattern costs O(m) per
-child.  A leaf's mask is never read, so leaves get no fold.
+child.  A leaf's mask is never read, so leaves get no fold.  Entries are
+held as powers 1 << value.  A pattern of length <= 3 scans no slot, so its
+fold reads only the depth and the gap, and a walk computes it once per
+(depth, gap) for each distinct set of such patterns.
 
-``count_table`` performs a single search at n_max; the number of nodes at
-depth m is |S_m(T)|, so the per-depth tally is the whole table.
+One walk serves several pattern sets.  Since Av(T + {p}) lies in Av(T),
+sets that share their shorter patterns T share most of their tree, so each
+node is built once for all the sets it avoids, and each of those sets
+carries its own mask.  A walk of one set counts at n_max in a single pass:
+its number of nodes at depth m is |S_m(T)|, so the tally is the whole table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .perms import Perm, PatternSet, pattern_set, standardize
@@ -51,14 +58,15 @@ class CountTable:
         return len(self.counts) - 1
 
 
-def _plan(q: Perm, ranks: int) -> tuple:
+@lru_cache(maxsize=1024)
+def _shape(q: Perm, ranks: int) -> tuple:
     """Fold plan for the patterns q + (r,) with bit r-1 of ``ranks`` set.
 
-    The scratch list holds powers 1 << value: slots 0..k-1 of q (k-1 is the
-    new entry, k-2 the free slot's least candidate), the bottom and top
-    sentinels, and the free slot's greatest candidate.  ``windows[j]`` holds
-    the nearest slots below and above q[j] among those placed before it, and
-    ``pairs`` the two ends of each forbidden interval.
+    The plan's slots index a scratch list of powers 1 << value: slots 0..k-1
+    of q (k-1 is the new entry, k-2 the free slot's least candidate), the
+    bottom and top sentinels, and the free slot's greatest candidate.
+    ``windows[j]`` holds the nearest slots below and above q[j] among those
+    placed before it, and ``pairs`` the two ends of each forbidden interval.
     """
     k = len(q)
     slot = {r: j for j, r in enumerate((*q, 0, k + 1))}
@@ -69,107 +77,150 @@ def _plan(q: Perm, ranks: int) -> tuple:
     pairs = tuple(
         (slot[r - 1], k + 2 if slot[r] == k - 2 else slot[r]) for r in range(1, k + 2) if ranks >> (r - 1) & 1
     )
-    return k, tuple(windows), pairs, [1] * (k + 3)
+    return k, tuple(windows), pairs
 
 
 def _compile(patterns: PatternSet) -> list[tuple]:
-    """One fold plan per distinct q = p[:-1] over the patterns of length >= 2."""
+    """One fold plan per distinct q = p[:-1] over the patterns of length >= 2.
+
+    Every walk compiles its sets anew, so the shapes come from a cache and
+    only the scratch lists are new.
+    """
     groups: dict[Perm, int] = {}
     for p in patterns:
         if len(p) >= 2:
             q = standardize(p[:-1])
             groups[q] = groups.get(q, 0) | 1 << (p[-1] - 1)
-    return [_plan(q, ranks) for q, ranks in sorted(groups.items())]
-
-
-def _free(plan: tuple, later: int) -> int:
-    # the free slot k-2 takes any value of ``later`` inside its window; an
-    # interval ending at it needs only its least or greatest candidate
-    k, windows, pairs, val = plan
-    lo, hi = windows[k - 2]
-    cand = later & (val[hi] - (val[lo] << 1))
-    if not cand:
-        return 0
-    val[k - 2] = cand & -cand
-    val[k + 2] = 1 << (cand.bit_length() - 1)
-    return _union(pairs, val)
-
-
-def _union(pairs: tuple, val: list[int]) -> int:
-    nf = 0
-    for a, b in pairs:
-        nf |= val[b] - val[a]
-    return nf
+    return [(*_shape(q, ranks), [1] * (len(q) + 3)) for q, ranks in sorted(groups.items())]
 
 
 def _scan(child: list[int], plan: tuple, slot: int, start: int) -> int:
     # place slot at each position from the right end down to start, keeping
     # the values to its right as a bitmask for the free slot
-    k, windows, _, val = plan
+    k, windows, pairs, val = plan
     lo, hi = windows[slot]
     low, high = val[lo], val[hi]
     nf = 0
     later = 0
-    for pos in range(len(child) - 2, start - 1, -1):
-        b = 1 << child[pos]
+    if slot < k - 3:
+        for pos in range(len(child) - 2, start - 1, -1):
+            b = child[pos]
+            if low < b < high:
+                val[slot] = b
+                nf |= _scan(child, plan, slot + 1, pos + 1)
+            later |= b
+        return nf
+    # the slot before the free one, the oracle's innermost loop: the free
+    # slot k-2 takes any value of ``later`` inside its window, and an interval
+    # ending at it needs only its least or greatest candidate
+    flo, fhi = windows[k - 2]
+    for b in reversed(child[start:-1]):
         if low < b < high:
             val[slot] = b
-            nf |= _free(plan, later) if slot == k - 3 else _scan(child, plan, slot + 1, pos + 1)
+            cand = later & (val[fhi] - (val[flo] << 1))
+            if cand:
+                val[k - 2] = cand & -cand
+                val[k + 2] = 1 << (cand.bit_length() - 1)
+                for a, c in pairs:
+                    nf |= val[c] - val[a]
         later |= b
     return nf
 
 
-def _fold(child: list[int], plan: tuple, full: int) -> int:
-    """Gaps forbidden by the occurrences of q that end at child[-1]."""
-    k, _, pairs, val = plan
-    val[k - 1] = 1 << child[-1]
-    val[k + 1] = full + 1
-    if k == 1:
-        return _union(pairs, val)
-    if k == 2:
-        return _free(plan, full ^ 1 ^ val[1])
-    return _scan(child, plan, 0, 0)
+def _fold(child: list[int], plans: list[tuple], full: int) -> int:
+    """Gaps forbidden by the occurrences of each plan's q that end at child[-1]."""
+    nf = 0
+    for plan in plans:
+        k, windows, pairs, val = plan
+        val[k - 1] = child[-1]
+        val[k + 1] = full + 1
+        if k > 2:
+            nf |= _scan(child, plan, 0, 0)
+            continue
+        if k == 2:
+            # the free slot 0 takes any earlier entry inside its window
+            lo, hi = windows[0]
+            cand = (full ^ 1 ^ val[1]) & (val[hi] - (val[lo] << 1))
+            if not cand:
+                continue
+            val[0] = cand & -cand
+            val[4] = 1 << (cand.bit_length() - 1)
+        for a, b in pairs:
+            nf |= val[b] - val[a]
+    return nf
 
 
-def _run_main(n: int, patterns: PatternSet, collect: bool):
-    """One generating-tree search.  Returns (count per length, leaves or None)."""
-    tally = [0] * (n + 1)
+def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
+    """One generating-tree walk for every set in ``sets``.
+
+    Returns (count per length for each set, leaves or None); the leaves are
+    the permutations of length n that avoid at least one of the sets.
+    """
+    tallies = [[0] * (n + 1) for _ in sets]
     out: Optional[list[Perm]] = [] if collect else None
-    if () in patterns:
-        return tally, out
-    plans = _compile(patterns)
+    # the folds of the patterns of length <= 3 per (depth, gap), filled in as
+    # the walk first needs them
+    short_cells: dict[PatternSet, list] = {}
+    roots = []
+    for tally, patterns in zip(tallies, sets):
+        if () in patterns:
+            continue
+        short = frozenset(p for p in patterns if len(p) <= 3)
+        cells = short_cells.setdefault(short, [None] * (n * n))
+        plans = _compile(patterns)
+        spec = (tally, cells, [x for x in plans if x[0] > 2], [x for x in plans if x[0] <= 2])
+        # a length-1 pattern forbids the root's only gap
+        roots.append((spec, int((1,) in patterns)))
 
-    def rec(pre: list[int], depth: int, forb: int) -> None:
-        tally[depth] += 1
+    def rec(pre: list[int], depth: int, active: list) -> None:
+        top = (1 << (depth + 1)) - 1
+        common = top
+        for spec, forb in active:
+            spec[0][depth] += 1
+            common &= forb
         if depth == n:
             if collect:
-                out.append(tuple(pre))
+                out.append(tuple([x.bit_length() - 1 for x in pre]))
             return
-        allowed = ((1 << (depth + 1)) - 1) & ~forb
-        # a leaf's mask is never read: no fold, and a count needs no leaves
+        # a leaf's mask is never read, so leaves get no fold; a count reads
+        # the leaves below a child at depth n - 1 off its mask
         leaf = depth + 1 == n
-        if leaf and not collect:
-            tally[n] += allowed.bit_count()
-            return
+        last = depth + 2 == n and not collect
         # a child has depth + 1 entries and so depth + 2 gaps
         full = (1 << (depth + 2)) - 1
+        row = depth * n
+        allowed = top & ~common
         while allowed:
             bit = allowed & -allowed
             allowed -= bit
             g = bit.bit_length() - 1
             v = g + 1
-            child = [x + 1 if x > g else x for x in pre]
-            child.append(v)
-            # gap g splits around v: bits above g move up one, bit g is copied
-            nf = (forb & ((bit << 1) - 1)) | ((forb >> g) << v)
-            if not leaf:
-                for plan in plans:
-                    nf |= _fold(child, plan, full)
-            rec(child, depth + 1, nf)
+            child = [x << 1 if x > bit else x for x in pre]
+            child.append(bit << 1)
+            below = (bit << 1) - 1
+            nxt = []
+            for entry in active:
+                (_, cells, plans, short), forb = entry
+                if forb & bit:
+                    continue
+                # gap g splits around v: bits above g move up one, bit g is copied
+                nf = (forb & below) | ((forb >> g) << v)
+                if not leaf:
+                    f = cells[row + g]
+                    if f is None:
+                        f = cells[row + g] = _fold(child, short, full)
+                    nf |= (f | _fold(child, plans, full)) if plans else f
+                nxt.append((entry[0], nf))
+            if last:
+                for spec, nf in nxt:
+                    spec[0][depth + 1] += 1
+                    spec[0][n] += (full & ~nf).bit_count()
+            else:
+                rec(child, depth + 1, nxt)
 
-    # a length-1 pattern forbids the root's only gap
-    rec([], 0, int((1,) in patterns))
-    return tally, out
+    if roots:
+        rec([], 0, roots)
+    return tallies, out
 
 
 def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
@@ -179,7 +230,7 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _, out = _run_main(n, pattern_set(t), collect=True)
+    _, out = _walk(n, [pattern_set(t)], collect=True)
     out.sort()
     return out
 
@@ -188,7 +239,8 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
 # _fill is the only function that writes here
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
 
-# sets handed to a pool worker at a time
+# sets in one walk: a chunk of a group of sets sharing their shorter patterns,
+# and a pool worker's unit of work
 _CHUNK = 8
 
 
@@ -196,43 +248,53 @@ class WorkerError(RuntimeError):
     """A worker process of ``count_tables`` died before returning its tables."""
 
 
-def _compute_counts(patterns: PatternSet, n_max: int) -> tuple[int, ...]:
-    return tuple(_run_main(n_max, patterns, collect=False)[0])
+def _compute_counts(sets: Sequence[PatternSet], n_max: int) -> list[tuple[int, ...]]:
+    return [tuple(tally) for tally in _walk(n_max, sets, collect=False)[0]]
 
 
-def _table_worker(patterns: PatternSet, n_max: int) -> tuple[int, ...]:
+def _table_worker(sets: Sequence[PatternSet], n_max: int) -> list[tuple[int, ...]]:
     # module-level so a pool can pickle it; _compute_counts is looked up at
     # call time, so a replacement installed before a fork reaches the workers
-    return _compute_counts(patterns, n_max)
+    return _compute_counts(sets, n_max)
 
 
 def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
     """Make ``_TABLE_CACHE`` hold every set's table to at least ``n_max``."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
     todo = [t for t in dict.fromkeys(sets) if len(_TABLE_CACHE.get(t, ())) <= n_max]
-    if not todo:
+    # sets that share their patterns shorter than their longest one share
+    # most of their tree, so each chunk is one walk
+    groups: dict[PatternSet, list[PatternSet]] = {}
+    for t in todo:
+        longest = max(map(len, t), default=0)
+        groups.setdefault(frozenset(p for p in t if len(p) < longest), []).append(t)
+    chunks = [g[i : i + _CHUNK] for g in groups.values() for i in range(0, len(g), _CHUNK)]
+    if not chunks:
         return
-    ns = [n_max] * len(todo)
-    if jobs is None or jobs <= 1:
-        results = map(_table_worker, todo, ns)
+    ns = [n_max] * len(chunks)
+    if jobs is None or jobs == 1:
+        results = map(_table_worker, chunks, ns)
     else:
         # imported here: the pool machinery would add to every import of permpat
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         # a fork pool starts all its workers at once: no more than there are chunks
         try:
-            with ProcessPoolExecutor(min(jobs, -(-len(todo) // _CHUNK))) as pool:
-                results = list(pool.map(_table_worker, todo, ns, chunksize=_CHUNK))
+            with ProcessPoolExecutor(min(jobs, len(chunks))) as pool:
+                results = list(pool.map(_table_worker, chunks, ns))
         except BrokenProcessPool as exc:
             raise WorkerError(f"a count worker process died: {exc}") from exc
-    _TABLE_CACHE.update(zip(todo, results))
+    for chunk, tables in zip(chunks, results):
+        _TABLE_CACHE.update(zip(chunk, tables))
 
 
 def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
-    """Counts |S_n(T)| for n = 0..n_max, from a single generating-tree search.
+    """Counts |S_n(T)| for n = 0..n_max, from a walk of the set alone.
 
-    The search visits each avoider of each length n <= n_max exactly once, so
+    The walk visits each avoider of each length n <= n_max exactly once, so
     the number of nodes at depth n is the count itself.  Raises ValueError if
     a member of t is not a permutation.
     """
@@ -249,9 +311,13 @@ def count_avoiders(n: int, t: Iterable[Sequence[int]]) -> int:
 def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Optional[int] = None) -> list[CountTable]:
     """Count tables for many pattern sets, optionally across worker processes.
 
-    Results come back in input order regardless of the worker count, and
-    share the memo of ``count_table``.  If a pool worker process dies, the
-    call raises ``WorkerError``, a ``RuntimeError``, and returns nothing.
+    The sets are grouped by their patterns shorter than their longest one,
+    and each chunk of up to 8 sets of a group is counted by one walk;
+    ``jobs`` worker processes (at most one per chunk) share the chunks, and
+    None or 1 counts them in this process.  Results come back in input order
+    regardless of the worker count, and share the memo of ``count_table``.
+    Raises ValueError if ``jobs`` is below 1.  If a pool worker process dies,
+    the call raises ``WorkerError``, a ``RuntimeError``, and returns nothing.
     """
     normalized = [pattern_set(t) for t in sets]
     _fill(normalized, n_max, jobs)

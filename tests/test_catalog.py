@@ -161,9 +161,9 @@ def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):
     searched = []
     compute = enumeration._compute_counts
 
-    def spy(patterns, n_max):
-        searched.append(patterns)
-        return compute(patterns, n_max)
+    def spy(sets, n_max):
+        searched.extend(sets)
+        return compute(sets, n_max)
 
     findings_start = []
     build_findings = catalog._build_findings
@@ -208,6 +208,12 @@ def test_verify_report_independent_of_jobs_and_cache():
     assert warm == cold
 
 
+def test_verify_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            verify(3, jobs=jobs)
+
+
 def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, capsys):
     # one wrong oracle value on one orbit must surface everywhere the report
     # shows a mismatch: the open findings, the row audit, the CSV grid and the
@@ -217,11 +223,12 @@ def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, 
     target = orbit(parse_pattern_set("123;132;3214")).representative
     compute = enumeration._compute_counts
 
-    def off_by_one(patterns, n_max):
-        counts = compute(patterns, n_max)
-        if patterns == target and n_max >= 5:
-            counts = counts[:5] + (counts[5] + 1,) + counts[6:]
-        return counts
+    def off_by_one(sets, n_max):
+        tables = compute(sets, n_max)
+        if target in sets and n_max >= 5:
+            i = sets.index(target)
+            tables[i] = tables[i][:5] + (tables[i][5] + 1,) + tables[i][6:]
+        return tables
 
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
     monkeypatch.setattr(enumeration, "_compute_counts", off_by_one)

@@ -106,6 +106,46 @@ def test_count_tables_pool_matches_serial_from_cold_cache(sets):
     assert [ct.counts for ct in pooled] == [ct.counts for ct in serial]
 
 
+@st.composite
+def chunk_batches(draw):
+    # sets sharing their length-3 patterns T go into one walk; mix them with
+    # unrelated sets, in any order
+    t = draw(st.frozensets(st.sampled_from(S3), max_size=3))
+    taus = draw(st.lists(st.sampled_from(S4), min_size=1, max_size=6, unique=True))
+    loose = draw(st.lists(PATTERN_SETS, min_size=max(0, 2 - len(taus)), max_size=10 - len(taus)))
+    return draw(st.permutations([t | {tau} for tau in taus] + loose))
+
+
+@settings(deadline=None, max_examples=40)
+@given(chunk_batches(), st.integers(0, 6))
+def test_chunk_walk_matches_naive(batch, n):
+    _TABLE_CACHE.clear()
+    tables = count_tables(batch, n, jobs=1)
+    for s, table in zip(batch, tables):
+        assert table.counts[n] == len(naive_avoiders(n, s))
+
+
+def test_degenerate_sets_share_a_walk_with_ordinary_ones():
+    # every set here has patterns of one length only, so all five are one
+    # chunk; the empty pattern and the single point end their own branches
+    batch = [parse_pattern_set(lit) for lit in ("1234", "123;132", "2143;3412")]
+    batch[1:1] = [frozenset({()}), frozenset({(1,)})]
+    _TABLE_CACHE.clear()
+    walked = enumeration._compute_counts(batch, 6)
+    assert walked[1] == (0,) * 7
+    assert walked[2] == (1,) + (0,) * 6
+    for s, counts in zip(batch, walked):
+        assert counts == tuple(len(naive_avoiders(n, s)) for n in range(7))
+    assert [t.counts for t in count_tables(batch, 6, jobs=1)] == walked
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            count_tables([{(1, 2, 3)}], 5, jobs=jobs)
+    assert count_tables([{(1, 2, 3)}], 5, jobs=None)[0].counts[5] == 42
+
+
 def test_malformed_patterns_rejected():
     # the oracle reads pattern entries as ranks, so a non-permutation must raise
     with pytest.raises(ValueError):
