@@ -47,11 +47,9 @@ from .enumeration import CountTable, count_table, count_tables, enumerate_avoide
 from .formulas import (
     BinomialPoly,
     Catalan,
-    Constant,
     CountFormula,
     ExplicitFamily,
     FibonacciForm,
-    Linear,
     PowerLinear,
     RationalGF,
     TribonacciForm,
@@ -276,13 +274,13 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              matches=_zero_matches,
              per_set=lambda s: (ZeroBeyond(5), 5) if {P123, P321} <= _threes(s) else (ZeroBeyond(7), 7)),
     TableRow(2, "2.linear-2n", "cls{123,312,t}, t in {1432,2143,2431,3214,3241,3421}", 24,
-             "direct recurrences", Linear(2, -2), 2,
+             "direct recurrences", BinomialPoly(((2, 0, 1),), -2), 2,
              matches=_member_of(_2N2_ORBITS)),
     TableRow(2, "2.fibonacci", "cls{123,132,3241}, cls{132,213,2341}", 12,
              "direct recurrences", FibonacciForm(1, 2, -1), 1,
              matches=_member_of(_FIB2_ORBITS)),
     TableRow(2, "2.linear-3n", "cls{123,132,3421}, cls{123,213,3421}", 8,
-             "direct recurrences", Linear(3, -5), 3,
+             "direct recurrences", BinomialPoly(((3, 0, 1),), -5), 3,
              matches=_member_of(_3N5_ORBITS)),
     TableRow(2, "2.tribonacci", "cls{123,132,3214}, cls{123,213,1432}, cls{132,213,1234}", 6,
              "three-term recurrence", TribonacciForm(), 1,
@@ -291,7 +289,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     # ---- three length-3 patterns plus one length-4 pattern (480 sets)
     TableRow(3, "3.linear-n", "T a count-n triple with t containing a member, "
                               "or cls{123,132,213,3412}", 282,
-             "Simion-Schmidt; direct recurrence", Linear(1, 0), 1,
+             "Simion-Schmidt; direct recurrence", BinomialPoly(((1, 0, 1),)), 1,
              matches=lambda s: (_threes(s) in _N_TRIPLES and _tau_contains_member(s))
              or s in _N_SPECIAL_ORBIT),
     TableRow(3, "3.zero", "123,321 in T; or 123 in T and t=4321; or 321 in T and t=1234", 108,
@@ -299,13 +297,13 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              matches=_zero_matches,
              per_set=lambda s: (ZeroBeyond(7), 7) if s in _ZERO6_EXCEPTIONS else (ZeroBeyond(6), 6)),
     TableRow(3, "3.three", "13 listed classes (10 orbits)", 46,
-             "explicit avoider lists", Constant(3), 3,
+             "explicit avoider lists", BinomialPoly((), 3), 3,
              matches=_member_of(_THREE_ORBITS)),
     TableRow(3, "3.fibonacci", "T in the Fibonacci class, t contains a member", 38,
              "Simion-Schmidt; containment reduction", FibonacciForm(1, 1, 0), 1,
              matches=lambda s: _threes(s) in _FIB_TRIPLES and _tau_contains_member(s)),
     TableRow(3, "3.four", "cls{123,132,213,3421}, cls{123,132,213,4231} (corrected reps)", 6,
-             "explicit avoider lists", Constant(4), 4,
+             "explicit avoider lists", BinomialPoly((), 4), 4,
              matches=_member_of(_FOUR_ORBITS)),
 
     # ---- at least four length-3 patterns plus one length-4 pattern (528 sets)
@@ -314,17 +312,17 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              "Erdos-Szekeres", ZeroBeyond(6), 6,
              matches=lambda s: _zero_matches(s, strict=True)),
     TableRow(4, "4.two", "|T|=4 without {123,321}, t contains a member", 100,
-             "Simion-Schmidt; containment reduction", Constant(2), 2,
+             "Simion-Schmidt; containment reduction", BinomialPoly((), 2), 2,
              matches=lambda s: len(_threes(s)) == 4
              and not {P123, P321} <= _threes(s) and _tau_contains_member(s)),
     TableRow(4, "4.one", "|T|=5 with 123 (resp. 321) missing and t != 1234 (resp. 4321), "
                          "or one of 4 listed singleton classes", 56,
-             "explicit avoider lists", Constant(1), 3,
+             "explicit avoider lists", BinomialPoly((), 1), 3,
              matches=lambda s: (len(_threes(s)) == 5
                                 and ((P123 not in _threes(s) and _tau(s) != P1234)
                                      or (P321 not in _threes(s) and _tau(s) != P4321)))
              or s in _SINGLETON_ORBITS,
-             per_set=lambda s: (Constant(1), 3) if len(_threes(s)) == 5 else (Constant(1), 4)),
+             per_set=lambda s: (BinomialPoly((), 1), 3 if len(_threes(s)) == 5 else 4)),
 )
 
 
@@ -568,10 +566,10 @@ def _fit_conjecture(counts: tuple[int, ...]) -> Optional[str]:
             break
     for n0 in range(1, n_max - 1):
         if counts[n0] != 0 and len(set(counts[n0:])) == 1:
-            candidates.append((Constant(counts[n0]), n0))
+            candidates.append((BinomialPoly((), counts[n0]), n0))
             break
     a = counts[n_max] - counts[n_max - 1]
-    candidates.append((Linear(a, counts[n_max] - a * n_max), max(1, n_max - 4)))
+    candidates.append((BinomialPoly(((a, 0, 1),), counts[n_max] - a * n_max), max(1, n_max - 4)))
     for formula, n0 in candidates:
         if n_max - n0 < 2:
             continue

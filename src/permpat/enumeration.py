@@ -275,15 +275,17 @@ def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
     if not chunks:
         return
     ns = [n_max] * len(chunks)
-    if jobs is None or jobs == 1:
+    # a fork pool starts all its workers at once: no more than there are
+    # chunks, and none for a single chunk, which this process counts itself
+    workers = min(jobs or 1, len(chunks))
+    if workers < 2:
         results = map(_table_worker, chunks, ns)
     else:
         # imported here: the pool machinery would add to every import of permpat
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        # a fork pool starts all its workers at once: no more than there are chunks
         try:
-            with ProcessPoolExecutor(min(jobs, len(chunks))) as pool:
+            with ProcessPoolExecutor(workers) as pool:
                 results = list(pool.map(_table_worker, chunks, ns))
         except BrokenProcessPool as exc:
             raise WorkerError(f"a count worker process died: {exc}") from exc
@@ -314,8 +316,9 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
     The sets are grouped by their patterns shorter than their longest one,
     and each chunk of up to 8 sets of a group is counted by one walk;
     ``jobs`` worker processes (at most one per chunk) share the chunks, and
-    None or 1 counts them in this process.  Results come back in input order
-    regardless of the worker count, and share the memo of ``count_table``.
+    None, 1 or a single chunk counts them in this process.  Results come back
+    in input order regardless of the worker count, and share the memo of
+    ``count_table``.
     Raises ValueError if ``jobs`` is below 1.  If a pool worker process dies,
     the call raises ``WorkerError``, a ``RuntimeError``, and returns nothing.
     """

@@ -6,6 +6,11 @@ a different indexing carries an explicit calibrated index map (see
 ``catalog.CALIBRATION``).  Tribonacci values are seeded t(1), t(2), t(3) =
 1, 2, 4, matching the oracle counts of the row that uses them.
 
+Every polynomial claim, constants and linear forms included, is a
+``BinomialPoly``: a sum of coefficient * C(n + offset, k) terms plus a
+constant, so a constant has no term and ``2n-2`` is one k = 1 term.
+``PowerLinear`` adds the same sum as its tail.
+
 A row whose claim lists its avoiders verbatim is an ``ExplicitFamily``: the
 formula carries its own builder of the avoider set at each n, and its count
 is the size of that set.
@@ -13,7 +18,6 @@ is the size of that set.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Sequence
@@ -26,7 +30,6 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@functools.lru_cache(maxsize=None)
 def fibonacci(m: int) -> int:
     """Fibonacci numbers with f(1) = f(2) = 1."""
     if m < 1:
@@ -37,7 +40,6 @@ def fibonacci(m: int) -> int:
     return a
 
 
-@functools.lru_cache(maxsize=None)
 def tribonacci(m: int) -> int:
     """Tribonacci numbers with t(1), t(2), t(3) = 1, 2, 4."""
     if m < 1:
@@ -119,7 +121,7 @@ class PowerLinear:
             power, r = divmod(coef, 1 << -s)
             if r:
                 raise ValueError(f"2^({n}{self.shift:+d}) term is not integral at n={n}")
-        return power + sum(c * binomial(n + off, k) for c, off, k in self.terms) + self.constant
+        return power + BinomialPoly(self.terms, self.constant).eval(n)
 
     def render(self) -> str:
         if self.lin_a == 0:
@@ -172,31 +174,6 @@ class RationalGF:
 
 
 @dataclass(frozen=True)
-class Linear:
-    a: int
-    b: int
-
-    def eval(self, n: int) -> int:
-        return self.a * n + self.b
-
-    def render(self) -> str:
-        if self.a == 1 and self.b == 0:
-            return "n"
-        return f"{self.a}n{self.b:+d}" if self.b else f"{self.a}n"
-
-
-@dataclass(frozen=True)
-class Constant:
-    value: int
-
-    def eval(self, n: int) -> int:
-        return self.value
-
-    def render(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class ZeroBeyond:
     from_n: int
 
@@ -228,8 +205,6 @@ CountFormula = (
     | FibonacciForm
     | TribonacciForm
     | RationalGF
-    | Linear
-    | Constant
     | ZeroBeyond
     | ExplicitFamily
 )

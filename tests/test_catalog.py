@@ -13,6 +13,7 @@ from permpat.catalog import (
     verify,
 )
 from permpat.enumeration import _TABLE_CACHE, count_table
+from permpat.formulas import render
 from permpat.perms import format_pattern_set, parse_pattern_set, pattern_set_key
 from permpat.symmetry import orbit, partition_into_classes
 
@@ -98,6 +99,43 @@ def test_table4_sizes():
     assert uncovered == 24
 
 
+# (set, row, rendered per-set formula, threshold); an explicit family stands
+# for every listed family of its row
+PER_SET_CLAIMS = [
+    ("123;1234", "1.catalan", "C(2n,n)/(n+1)", 1),
+    ("123;1432", "1.fibonacci-even", "f(2n-1) [f(1)=f(2)=1]", 1),
+    ("123;2431", "1.pow2-minus-triangle", "3*2^(n-1)-C(n+1,2)-1", 1),
+    ("123;3412", "1.pow2-minus-cubic", "2^(n+1)-C(n+1,3)-2n-1", 1),
+    ("123;3421", "1.quartic-poly", "C(n,4)+2C(n,3)+n", 1),
+    ("123;4231", "1.quintic-poly", "C(n,5)+2C(n,4)+C(n,3)+C(n,2)+1", 1),
+    ("123;4321", "1.zero", "0 (n>=7)", 7),
+    ("132;3214", "1.rational-gf", "[x^n] 1-3x+3x^2-x^3/(1-4x+5x^2-3x^3)", 1),
+    ("132;3421", "1.power-linear", "(1n-1)*2^(n-2)+1", 1),
+    ("132;4321", "1.quartic-poly-b", "C(n,4)+C(n+1,4)+C(n,2)+1", 1),
+    ("123;132;1234", "2.pow2", "2^(n-1)", 1),
+    ("123;132;3214", "2.tribonacci", "t(n) [t(1),t(2),t(3)=1,2,4]", 1),
+    ("123;132;3241", "2.fibonacci", "f(n+2)-1 [f(1)=f(2)=1]", 1),
+    ("123;132;3412", "2.nn2", "C(n,2)+1", 1),
+    ("123;132;3421", "2.linear-3n", "3n-5", 3),
+    ("123;132;4321", "2.zero", "0 (n>=7)", 7),
+    ("123;231;1432", "2.linear-2n", "2n-2", 2),
+    ("123;321;1234", "2.zero", "0 (n>=5)", 5),
+    ("123;132;213;1234", "3.fibonacci", "f(n+1) [f(1)=f(2)=1]", 1),
+    ("123;132;213;3412", "3.linear-n", "n", 1),
+    ("123;132;213;3421", "3.four", "|explicit avoider list [123;132;213;3421]|", 4),
+    ("123;132;213;4312", "3.four", "4", 4),
+    ("123;132;213;4321", "3.zero", "0 (n>=7)", 7),
+    ("123;132;231;3214", "3.three", "|explicit avoider list [123;132;231;3214]|", 3),
+    ("123;132;231;4321", "3.zero", "0 (n>=6)", 6),
+    ("123;132;312;3214", "3.three", "3", 3),
+    ("123;132;213;231;1234", "4.two", "2", 2),
+    ("123;132;213;231;4312", "4.one", "|explicit avoider list [123;132;213;231;4312]|", 4),
+    ("123;132;213;231;4321", "4.zero", "0 (n>=6)", 6),
+    ("123;132;213;312;3421", "4.one", "1", 4),
+    ("123;132;213;231;312;1234", "4.one", "1", 3),
+]
+
+
 def test_classify_examples():
     entry, table = classify(parse_pattern_set("123;132;3214"), 7)
     assert entry.row_id == "2.tribonacci"
@@ -109,6 +147,18 @@ def test_classify_examples():
     entry, table = classify(parse_pattern_set("1234;4321"), 5)
     assert entry is None
     assert len(table.counts) == 6
+
+    # one set for each (row, per-set formula, threshold) of the four tables;
+    # the verify digest covers only each row's own formula
+    for literal, row_id, formula, valid_from in PER_SET_CLAIMS:
+        entry, _ = classify(parse_pattern_set(literal), 1)
+        claim = (entry.row_id, render(entry.formula), entry.valid_from)
+        assert claim == (row_id, formula, valid_from), literal
+
+
+def test_fit_conjecture_renders_unit_slopes():
+    assert catalog._fit_conjecture((0, 4, 5, 6, 7, 8, 9)) == "conjecture: for n>=2: n+3"
+    assert catalog._fit_conjecture((0, 9, 8, 7, 6, 5, 4)) == "conjecture: for n>=2: -n+10"
 
 
 def test_explicit_families_match_independent_oracle():

@@ -99,6 +99,9 @@ def test_random_sets_match_naive(t):
 @settings(deadline=None, max_examples=10)
 @given(st.lists(PATTERN_SETS, min_size=1, max_size=4))
 def test_count_tables_pool_matches_serial_from_cold_cache(sets):
+    # {123} and {21, 1234} differ in their shorter patterns, so there are at
+    # least two chunks and jobs=2 starts a pool
+    sets = sets + [{(1, 2, 3)}, {(2, 1), (1, 2, 3, 4)}]
     _TABLE_CACHE.clear()
     pooled = count_tables(sets, 6, jobs=2)
     _TABLE_CACHE.clear()
@@ -249,7 +252,8 @@ def test_negative_n_rejected():
 def test_dead_worker_raises(dying_worker):
     # a worker that dies must end the call with an error, not hang it, and
     # the memo must not gain a partial answer
-    sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}]
+    # the last set is of a second group, so there are two chunks and a pool
+    sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="worker process died"):
         count_tables(sets, 6, jobs=2)
@@ -259,7 +263,8 @@ def test_dead_worker_raises(dying_worker):
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # a fork pool starts all max_workers processes at once, so the pool size
-    # must be capped by the number of 8-set chunks; the fake starts nothing
+    # must be capped by the number of 8-set chunks, and a single chunk needs
+    # none; the fake starts nothing
     sizes = []
 
     class RecordingPool:
@@ -278,7 +283,8 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
     assert count_tables([{p} for p in S3[:3]], 5, jobs=64)[0].counts[5] == 42
+    assert sizes == []
     assert len(count_tables([{p} for p in S4[:17]], 5, jobs=64)) == 17
     enumeration._TABLE_CACHE.clear()
     count_tables([{p} for p in S4[:17]], 5, jobs=2)
-    assert sizes == [1, 3, 2]
+    assert sizes == [3, 2]

@@ -5,10 +5,8 @@ import pytest
 from permpat.formulas import (
     BinomialPoly,
     Catalan,
-    Constant,
     ExplicitFamily,
     FibonacciForm,
-    Linear,
     PowerLinear,
     RationalGF,
     TribonacciForm,
@@ -23,7 +21,7 @@ from permpat.formulas import (
 
 
 def test_eval_examples():
-    assert evaluate(Linear(3, -5), 4) == 7
+    assert evaluate(BinomialPoly(((3, 0, 1),), -5), 4) == 7
     assert evaluate(BinomialPoly(((1, 0, 2),), 1), 4) == 7
     assert evaluate(Catalan(), 5) == 42
 
@@ -93,7 +91,7 @@ def test_rational_gf_eval():
 
 
 def test_constant_and_zero():
-    assert evaluate(Constant(3), 9) == 3
+    assert evaluate(BinomialPoly((), 3), 9) == 3
     assert evaluate(ZeroBeyond(6), 8) == 0
     assert evaluate(TribonacciForm(), 6) == 24
 
@@ -109,8 +107,8 @@ def test_explicit_family_carries_its_builder():
 
 def test_render_strings():
     assert render(Catalan()) == "C(2n,n)/(n+1)"
-    assert render(Linear(2, -2)) == "2n-2"
-    assert render(Linear(1, 0)) == "n"
+    assert render(BinomialPoly(((2, 0, 1),), -2)) == "2n-2"
+    assert render(BinomialPoly(((1, 0, 1),))) == "n"
     assert "C(n,2)" in render(BinomialPoly(((1, 0, 2),), 1))
     assert "f(2n-1)" in render(FibonacciForm(2, -1, 0))
     assert "2^(n-1)" in render(PowerLinear(0, 1, -1, (), 0))
