@@ -6,9 +6,9 @@ three plus one (480), and at least four plus one (528).  Each table row is
 either a predicate (evaluated with the containment test, never a hand-kept
 pair list) or a union of symmetry-class orbits of listed representatives.
 Where a row lists a set's avoiders verbatim, that set's formula is an
-``ExplicitFamily`` from ``EXPLICIT_FAMILIES``, which carries its own builder:
-the verifier checks both its size and the avoider set itself.  The findings
-are one table, ``_FINDINGS``, of printed claims with their resolutions.
+``ExplicitFamily`` from ``EXPLICIT_FAMILIES``, a skeleton with one point
+inflated into a monotone run per member; the verifier checks its size and its
+set against one collecting walk.  The findings are one table, ``_FINDINGS``.
 
 Known misprints in the printed tables are pre-registered findings: the row
 encodings below already carry the corrected members, and ``verify`` recomputes
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .enumeration import CountTable, count_table, count_tables, enumerate_avoiders
+from .enumeration import CountTable, _walk, count_table, count_tables, enumerate_avoiders
 from .formulas import (
     BinomialPoly,
     Catalan,
@@ -121,43 +121,26 @@ assert len(_FIB_TRIPLES) == 2 and len(_N_TRIPLES) == 14
 
 # --- explicit avoider families ----------------------------------------------
 
-def _dn(n: int) -> Perm:
-    return tuple(range(n, 0, -1))
-
-
-def _an(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def _down(n: int, stop: int) -> Perm:
-    # (n, n-1, ..., stop); empty when stop > n
-    return tuple(range(n, stop - 1, -1))
-
-
-# the sets whose rows list their avoiders verbatim; each set's formula is its
-# family, so the count check and the set-equality check read one builder
+# members as formulas.inflate reads them: ((4, 2, 1, 3), 0, True) is n, ..., 4, 2, 1, 3
+_DESC, _ASC = ((1,), 0, True), ((1,), 0, False)  # n..1 and 1..n
 EXPLICIT_FAMILIES: dict[PatternSet, ExplicitFamily] = {
-    parse_pattern_set(lit): ExplicitFamily(lit, build)
-    for lit, build in {
-        "123;132;231;3214": lambda n: frozenset({_down(n, 4) + (2, 1, 3), _down(n, 3) + (1, 2), _dn(n)}),
-        "123;132;231;4312": lambda n: frozenset({_down(n - 1, 1) + (n,), (n,) + _down(n - 2, 1) + (n - 1,), _dn(n)}),
-        "123;132;231;4213": lambda n: frozenset({_down(n - 1, 1) + (n,), _down(n, 3) + (1, 2), _dn(n)}),
-        "123;231;312;1432": lambda n: frozenset({_down(n - 2, 1) + (n, n - 1), _down(n - 1, 1) + (n,), _dn(n)}),
-        "123;231;312;2143": lambda n: frozenset({(1,) + _down(n, 2), _down(n - 1, 1) + (n,), _dn(n)}),
-        "132;213;231;1234": lambda n: frozenset({_down(n, 4) + (1, 2, 3), _down(n, 3) + (1, 2), _dn(n)}),
-        "132;213;231;4123": lambda n: frozenset({_dn(n), _down(n, 3) + (1, 2), _an(n)}),
-        "132;213;231;4312": lambda n: frozenset({_dn(n), (n,) + _an(n - 1), _an(n)}),
-        "132;213;231;4321": lambda n: frozenset({_an(n), (n,) + _an(n - 1), (n, n - 1) + _an(n - 2)}),
-        "123;132;213;3421": lambda n: frozenset(
-            {_dn(n), _down(n, 3) + (1, 2), _down(n, 4) + (2, 3, 1), _down(n, 5) + (3, 4, 1, 2)}
-        ),
-        "123;132;213;4231": lambda n: frozenset(
-            {_dn(n), (n - 1, n) + _down(n - 2, 1), _down(n, 3) + (1, 2), (n - 1, n) + _down(n - 2, 3) + (1, 2)}
-        ),
-        "123;132;213;231;4312": lambda n: frozenset({_dn(n)}),
-        "123;132;231;312;3214": lambda n: frozenset({_dn(n)}),
-        "123;213;231;312;1432": lambda n: frozenset({_dn(n)}),
-        "132;213;231;312;1234": lambda n: frozenset({_dn(n)}),
+    parse_pattern_set(lit): ExplicitFamily(lit, members)
+    for lit, members in {
+        "123;132;231;3214": (((4, 2, 1, 3), 0, True), ((3, 1, 2), 0, True), _DESC),
+        "123;132;231;4312": (((1, 2), 0, True), ((3, 1, 2), 1, True), _DESC),
+        "123;132;231;4213": (((1, 2), 0, True), ((3, 1, 2), 0, True), _DESC),
+        "123;231;312;1432": (((1, 3, 2), 0, True), ((1, 2), 0, True), _DESC),
+        "123;231;312;2143": (((1, 2), 1, True), ((1, 2), 0, True), _DESC),
+        "132;213;231;1234": (((4, 1, 2, 3), 0, True), ((3, 1, 2), 0, True), _DESC),
+        "132;213;231;4123": (_DESC, ((3, 1, 2), 0, True), _ASC),
+        "132;213;231;4312": (_DESC, ((2, 1), 1, False), _ASC),
+        "132;213;231;4321": (_ASC, ((2, 1), 1, False), ((3, 2, 1), 2, False)),
+        "123;132;213;3421": (_DESC, ((3, 1, 2), 0, True), ((4, 2, 3, 1), 0, True), ((5, 3, 4, 1, 2), 0, True)),
+        "123;132;213;4231": (_DESC, ((2, 3, 1), 2, True), ((3, 1, 2), 0, True), ((4, 5, 3, 1, 2), 2, True)),
+        "123;132;213;231;4312": (_DESC,),
+        "123;132;231;312;3214": (_DESC,),
+        "123;213;231;312;1432": (_DESC,),
+        "132;213;231;312;1234": (_DESC,),
     }.items()
 }
 
@@ -589,12 +572,13 @@ def _check_pair(
             conjecture=_fit_conjecture(counts),
         )
     values = tuple(evaluate(entry.formula, n) for n in range(1, n_max + 1))
-    # a listed family must also equal the oracle's avoider set, not just its size
+    # a listed family must also equal the oracle's avoider set, not just its
+    # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
+    avoiders = _walk(n_max, [s], collect=True)[1] if family else None
     mismatch_ns = tuple(
         n for n in range(entry.valid_from, n_max + 1)
-        if values[n - 1] != counts[n]
-        or (family is not None and family.build(n) != frozenset(enumerate_avoiders(n, s)))
+        if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
     )
     return PairCheck(
         pattern_set=s, row_id=entry.row_id, valid_from=entry.valid_from,

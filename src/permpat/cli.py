@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error (bad literal, cap exceeded) or a failed
-run (a worker process died), 2 when ``verify`` found formula/oracle
-mismatches outside the pre-registered findings.  The hard cap on n (default
-11) keeps runs desk-scale; override with the PERMPAT_NMAX_CAP environment
-variable.
+run (a dead worker process, an unwritable --out path), 2 when ``verify``
+found formula/oracle mismatches outside the pre-registered findings.  The
+hard cap on n (default 11) keeps runs desk-scale; override with the
+PERMPAT_NMAX_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except (UsageError, ValueError, WorkerError) as exc:
+    except (UsageError, ValueError, WorkerError, OSError) as exc:
         print(f"permpat: error: {exc}", file=sys.stderr)
         return 1
 

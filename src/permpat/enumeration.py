@@ -7,8 +7,8 @@ every entry above g by one.  Every permutation of length m + 1 has exactly
 one parent (drop the last entry and standardize), and containment is monotone
 under prefix extension and invariant under standardization, so a branch is
 pruned as soon as its prefix contains a forbidden pattern and every avoider
-of every length up to n is visited exactly once.  Leaves are collected and
-sorted, so enumeration output is lexicographic.
+of every length up to n is visited exactly once.  A collecting walk lists
+them all, and enumeration sorts those of length n into lexicographic order.
 
 Pruning never rescans the whole prefix against whole patterns, and one rule
 serves every pattern length k >= 2.  An occurrence of p that ends at a new
@@ -153,11 +153,11 @@ def _fold(child: list[int], plans: list[tuple], full: int) -> int:
 def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
     """One generating-tree walk for every set in ``sets``.
 
-    Returns (count per length for each set, leaves or None); the leaves are
-    the permutations of length n that avoid at least one of the sets.
+    Returns (count per length for each set, avoiders or None); avoiders[m]
+    lists, in walk order, the permutations of length m that avoid a set.
     """
     tallies = [[0] * (n + 1) for _ in sets]
-    out: Optional[list[Perm]] = [] if collect else None
+    out: Optional[list[list[Perm]]] = [[] for _ in range(n + 1)] if collect else None
     # the folds of the patterns of length <= 3 per (depth, gap), filled in as
     # the walk first needs them
     short_cells: dict[PatternSet, list] = {}
@@ -178,9 +178,9 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
         for spec, forb in active:
             spec[0][depth] += 1
             common &= forb
+        if collect:
+            out[depth].append(tuple([x.bit_length() - 1 for x in pre]))
         if depth == n:
-            if collect:
-                out.append(tuple([x.bit_length() - 1 for x in pre]))
             return
         # a leaf's mask is never read, so leaves get no fold; a count reads
         # the leaves below a child at depth n - 1 off its mask
@@ -230,9 +230,7 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _, out = _walk(n, [pattern_set(t)], collect=True)
-    out.sort()
-    return out
+    return sorted(_walk(n, [pattern_set(t)], collect=True)[1][n])
 
 
 # count tables are memoized per pattern set at the largest n seen so far;

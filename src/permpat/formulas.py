@@ -11,16 +11,16 @@ Every polynomial claim, constants and linear forms included, is a
 constant, so a constant has no term and ``2n-2`` is one k = 1 term.
 ``PowerLinear`` adds the same sum as its tail.
 
-A row whose claim lists its avoiders verbatim is an ``ExplicitFamily``: the
-formula carries its own builder of the avoider set at each n, and its count
-is the size of that set.
+A row whose claim lists its avoiders verbatim is an ``ExplicitFamily``: each
+member is a skeleton of a few points with one point inflated into a monotone
+run (``inflate``), and the count is the size of that set at each n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -28,6 +28,21 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or n < k:
         return 0
     return comb(n, k)
+
+
+def inflate(skeleton: tuple[int, ...], i: int, descending: bool, n: int) -> tuple[int, ...]:
+    """Point i of ``skeleton`` blown up into a monotone run, for length n.
+
+    The run holds v..v + n - len(skeleton) for v = skeleton[i], and the larger
+    entries move up with it, so every entry is linear in n.
+
+    >>> inflate((3, 1, 2), 1, True, 6), inflate((2, 1), 1, False, 4)
+    ((6, 4, 3, 2, 1, 5), (4, 1, 2, 3))
+    """
+    v, shift = skeleton[i], n - len(skeleton)
+    run = range(v + shift, v - 1, -1) if descending else range(v, v + shift + 1)
+    rest = [x + shift if x > v else x for x in skeleton]
+    return (*rest[:i], *run, *rest[i + 1 :])
 
 
 def fibonacci(m: int) -> int:
@@ -186,10 +201,13 @@ class ZeroBeyond:
 
 @dataclass(frozen=True)
 class ExplicitFamily:
-    """A listed avoider family: ``build(n)`` is the set of avoiders of length n."""
+    """A listed avoider family: ``build(n)`` inflates each (skeleton, i, descending) member."""
 
     name: str
-    build: Callable[[int], frozenset] = field(compare=False, repr=False)
+    members: tuple[tuple[tuple[int, ...], int, bool], ...]
+
+    def build(self, n: int) -> frozenset:
+        return frozenset(inflate(skeleton, i, descending, n) for skeleton, i, descending in self.members)
 
     def eval(self, n: int) -> int:
         return len(self.build(n))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -165,6 +166,33 @@ def test_explicit_families_match_independent_oracle():
     for s, fam in EXPLICIT_FAMILIES.items():
         for n in (4, 5):
             assert fam.build(n) == frozenset(naive_avoiders(n, s)), fam.name
+
+
+def test_explicit_families_build_pinned_sets():
+    # the sorted members of all 15 families for n = 1..12, below each row's
+    # threshold too, hash to the digest of the builders they replaced
+    families = sorted(EXPLICIT_FAMILIES.values(), key=lambda f: f.name)
+    text = repr([(f.name, n, sorted(f.build(n))) for f in families for n in range(1, 13)])
+    assert len(families) == 15
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "66adbc3056f26eb07acccad8353f008393752cea54937fc9ff321a961d8994f3"
+    )
+
+
+def test_verify_walks_once_per_explicit_family(monkeypatch):
+    # each family set is checked at every n from one collecting walk at n_max;
+    # the findings enumerate through enumerate_avoiders and are not counted
+    real, walks = catalog._walk, []
+
+    def walk(n, sets, collect):
+        if collect:
+            walks.append((n, *sets))
+        return real(n, sets, collect)
+
+    monkeypatch.setattr(catalog, "_walk", walk)
+    verify(7)
+    assert len(walks) == 15
+    assert set(walks) == {(7, s) for s in EXPLICIT_FAMILIES}
 
 
 def test_verify_small():

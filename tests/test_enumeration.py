@@ -96,6 +96,17 @@ def test_random_sets_match_naive(t):
         assert table[n] == len(naive)
 
 
+@settings(deadline=None, max_examples=60)
+@given(PATTERN_SETS, st.integers(0, 6))
+def test_collecting_walk_lists_every_length(t, n):
+    # one walk to depth n lists the avoiders of every shorter length too
+    tallies, avoiders = enumeration._walk(n, [t], collect=True)
+    assert len(avoiders) == n + 1
+    for m in range(n + 1):
+        assert sorted(avoiders[m]) == naive_avoiders(m, t)
+        assert tallies[0][m] == len(avoiders[m])
+
+
 @settings(deadline=None, max_examples=10)
 @given(st.lists(PATTERN_SETS, min_size=1, max_size=4))
 def test_count_tables_pool_matches_serial_from_cold_cache(sets):
