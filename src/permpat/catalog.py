@@ -66,9 +66,10 @@ from .perms import (
     format_pattern_set,
     format_permutation,
     parse_pattern_set,
+    pattern_set,
     pattern_set_key,
 )
-from .symmetry import SymmetryOrbit, apply_set, orbit, partition_into_classes
+from .symmetry import apply_set, orbit, partition_into_classes
 
 P123, P213, P321 = (1, 2, 3), (2, 1, 3), (3, 2, 1)
 P1234 = (1, 2, 3, 4)
@@ -311,7 +312,6 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    representative: PatternSet
     claimed_class_size: int
     formula: CountFormula
     valid_from: int
@@ -335,19 +335,19 @@ def expand_universe(table_id: int) -> list[PatternSet]:
 
 
 def table_of(s: PatternSet) -> Optional[int]:
-    """Which table universe a set belongs to, if any."""
-    threes = _threes(s)
-    if _tau(s) is None or not threes or len(threes) + 1 != len(s):
-        return None
-    return min(len(threes), 4)
+    """Which table universe a set belongs to, if any.  A member that is not a
+    permutation raises ValueError: it is looked up in S_3 and S_4 if the set
+    has the universes' shape, and checked by ``pattern_set`` otherwise."""
+    threes, tau = _threes(s), _tau(s)
+    if tau in S4 and threes and threes.issubset(S3) and len(threes) + 1 == len(s):
+        return min(len(threes), 4)
+    pattern_set(s)
+    return None
 
 
-def _entry_for(row: TableRow, s: PatternSet, representative: PatternSet) -> CatalogEntry:
-    formula, valid_from = row.formula, row.valid_from
-    if row.per_set is not None:
-        formula, valid_from = row.per_set(s)
+def _entry_for(row: TableRow, s: PatternSet) -> CatalogEntry:
+    formula, valid_from = row.per_set(s) if row.per_set is not None else (row.formula, row.valid_from)
     return CatalogEntry(
-        representative=representative,
         claimed_class_size=row.claimed_size,
         formula=EXPLICIT_FAMILIES.get(s, formula),
         valid_from=valid_from,
@@ -357,13 +357,10 @@ def _entry_for(row: TableRow, s: PatternSet, representative: PatternSet) -> Cata
     )
 
 
-def _representatives(classes: Iterable[SymmetryOrbit]) -> dict[PatternSet, PatternSet]:
-    return {m: o.representative for o in classes for m in o.members}
-
-
-def _assign(
-    universe: Iterable[PatternSet], representative: dict[PatternSet, PatternSet]
-) -> dict[PatternSet, Optional[CatalogEntry]]:
+def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
+    """Map each set to the entry of the one row it satisfies, or None; ``verify``
+    and ``classify`` both match sets to rows here.  Raises ValueError on a
+    malformed set and CatalogIntegrityError on a set that satisfies two rows."""
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
     for s in universe:
         tid = table_of(s)  # None outside the four universes, so no row is hit
@@ -371,19 +368,14 @@ def _assign(
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")
-        out[s] = _entry_for(hits[0], s, representative[s]) if hits else None
+        out[s] = _entry_for(hits[0], s) if hits else None
     return out
 
 
-def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
-    """Map each set to the entry whose row condition it satisfies (or None)."""
-    universe = list(universe)
-    return _assign(universe, _representatives(partition_into_classes(universe)))
-
-
 def classify(t: Iterable[Perm], n_max: int) -> tuple[Optional[CatalogEntry], CountTable]:
-    """Catalog entry (if the set is in a covered universe) plus oracle counts."""
-    s = frozenset(tuple(p) for p in t)
+    """Catalog entry (if the set is in a covered universe) plus oracle counts
+    from a search of this very set; ValueError on a malformed member."""
+    s = pattern_set(t)
     return assign_entries([s])[s], count_table(s, n_max)
 
 
@@ -590,24 +582,24 @@ def _check_pair(
 def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     """Compare every covered pair against the oracle and audit the tables.
 
-    The four table universes are partitioned once into reverse/inverse orbits
-    (283 of them for the 1,512 sets).  The oracle counts one representative per
-    orbit, with one walk for each chunk of up to 8 representatives that share
-    their length-3 patterns, spread over ``jobs`` worker processes (None or 1
-    for none; below 1 raises ValueError).  Every member is given its
-    representative's count table: avoider counts are invariant on an orbit
-    (Simion-Schmidt).  The counts are shared only here;
-    ``count_table`` and ``classify`` always search the set they are given.
-    The formula, threshold, class-size and explicit-family set checks still
-    run on every member.
+    Every set gets its row from ``assign_entries``.  The four universes are
+    partitioned once into reverse/inverse orbits (283 for the 1,512 sets) only
+    to share counts: the oracle counts one representative per orbit, with one
+    walk for each chunk of up to 8 representatives that share their length-3
+    patterns, spread over ``jobs`` worker processes (None or 1 for none; below
+    1 raises ValueError), and each member gets its representative's count
+    table (avoider counts are invariant on an orbit; Simion-Schmidt).
+    ``count_table`` and ``classify`` always search the set they are given.  The
+    formula, threshold, class-size and explicit-family set checks run on every
+    member.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     started = time.perf_counter()
     universes = {tid: expand_universe(tid) for tid in (1, 2, 3, 4)}
     members = [s for u in universes.values() for s in u]
+    entries = assign_entries(members)
     orbits = partition_into_classes(members)
-    entries = _assign(members, _representatives(orbits))
     tables = count_tables([o.representative for o in orbits], n_max, jobs)
     counts = {m: table.counts for o, table in zip(orbits, tables) for m in o.members}
     audits = [

@@ -182,7 +182,7 @@ def _run(args) -> int:
             payload["entry"] = {
                 "row_id": entry.row_id,
                 "table": entry.source_table,
-                "representative": format_pattern_set(entry.representative),
+                "representative": format_pattern_set(orbit(table.pattern_set).representative),
                 "claimed_class_size": entry.claimed_class_size,
                 "formula": render(entry.formula),
                 "valid_from": entry.valid_from,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -7,6 +8,7 @@ from permpat import catalog, enumeration
 from permpat.catalog import (
     EXPLICIT_FAMILIES,
     TABLE_ROWS,
+    CatalogIntegrityError,
     assign_entries,
     classify,
     expand_universe,
@@ -36,6 +38,21 @@ def test_table_of():
     assert table_of(parse_pattern_set("123;132;213;231;312;321;1234")) == 4
     assert table_of(parse_pattern_set("1234;4321")) is None
     assert table_of(parse_pattern_set("123;321")) is None
+    assert table_of(parse_pattern_set("12;1234")) is None
+    assert table_of(parse_pattern_set("123;321;1234;4321")) is None
+
+
+@pytest.mark.parametrize("literal", ["124;1234", "123;1235", "133"])
+def test_malformed_sets_raise(literal):
+    # built by hand, since parse_pattern_set already rejects these; a set of
+    # the universes' shape with a non-permutation member must not get a table
+    s = frozenset(tuple(int(c) for c in p) for p in literal.split(";"))
+    with pytest.raises(ValueError, match="not a permutation"):
+        table_of(s)
+    with pytest.raises(ValueError, match="not a permutation"):
+        assign_entries([s])
+    with pytest.raises(ValueError, match="not a permutation"):
+        classify(s, 3)
 
 
 def test_assignment_examples():
@@ -72,6 +89,14 @@ def test_zero_row_thresholds():
 def test_assignment_is_unambiguous_everywhere():
     for tid in (1, 2, 3, 4):
         assign_entries(expand_universe(tid))  # raises on any double match
+
+
+def test_double_row_match_raises(monkeypatch):
+    catalan = next(row for row in TABLE_ROWS if row.row_id == "1.catalan")
+    copy = dataclasses.replace(catalan, row_id="1.catalan-copy")
+    monkeypatch.setattr(catalog, "TABLE_ROWS", TABLE_ROWS + (copy,))
+    with pytest.raises(CatalogIntegrityError, match="1.catalan, 1.catalan-copy"):
+        assign_entries([parse_pattern_set("123;1234")])
 
 
 def test_row_sizes_match_claims_for_first_three_tables():
@@ -290,6 +315,8 @@ def test_verify_rejects_jobs_below_one():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             verify(3, jobs=jobs)
+    with pytest.raises(ValueError, match="n_max"):
+        verify(0)
 
 
 def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, capsys):

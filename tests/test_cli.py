@@ -84,6 +84,21 @@ def test_classify(capsys):
     payload = json.loads(out)
     assert payload["entry"]["formula"] == "2n-2"
     assert payload["counts"][5] == 8
+    # the whole payload, recorded before the entry stopped carrying the orbit
+    # representative; the representative is not the set itself
+    assert code == 0 and out == json.dumps({
+        "set": "123;312;2143",
+        "counts": [1, 1, 2, 4, 6, 8, 10],
+        "entry": {
+            "row_id": "2.linear-2n",
+            "table": 2,
+            "representative": "123;231;2143",
+            "claimed_class_size": 24,
+            "formula": "2n-2",
+            "valid_from": 2,
+            "citation": "direct recurrences",
+        },
+    }, indent=2) + "\n"
 
 
 def test_usage_errors_exit_one(capsys):
@@ -95,6 +110,10 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "cap" in err
     code, _, err = run(capsys, "count", "--set", "132")
     assert code == 1
+    code, _, err = run(capsys, "count", "--set", "132", "--n", "-1")
+    assert code == 1 and "nonnegative" in err
+    code, _, err = run(capsys, "nu", "--set", "132", "--power", "0")
+    assert code == 1 and "--power" in err
     # a worker count below 1 is refused before any work, so stdout stays empty
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--nmax", "1", "--jobs", jobs)
@@ -109,6 +128,9 @@ def test_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("PERMPAT_NMAX_CAP", "12")
     code, out, _ = run(capsys, "count", "--set", "132", "--n", "4")
     assert code == 0 and out.strip() == "14"
+    monkeypatch.setenv("PERMPAT_NMAX_CAP", "abc")
+    code, _, err = run(capsys, "count", "--set", "132", "--n", "4")
+    assert code == 1 and "PERMPAT_NMAX_CAP" in err
 
 
 def test_output_determinism(capsys):

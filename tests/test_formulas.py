@@ -63,6 +63,8 @@ def test_power_linear_values():
     assert [evaluate(bjs, n) for n in (1, 2, 3, 4)] == [1, 2, 5, 13]
     pow2 = PowerLinear(0, 1, -1, (), 0)
     assert [evaluate(pow2, n) for n in (1, 2, 5)] == [1, 2, 16]
+    with pytest.raises(ValueError, match="not integral"):
+        PowerLinear(1, 0, -3).eval(1)
 
 
 def test_fibonacci_forms():
@@ -83,6 +85,8 @@ def test_gf_coefficients():
         assert coeffs[n] == 4 * coeffs[n - 1] - 5 * coeffs[n - 2] + 3 * coeffs[n - 3]
     with pytest.raises(ValueError):
         gf_coefficients((1,), (0, 1), 3)
+    with pytest.raises(ValueError, match="not integral"):
+        gf_coefficients((1,), (2,), 1)
 
 
 def test_rational_gf_eval():

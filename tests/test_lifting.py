@@ -78,6 +78,8 @@ def test_pattern_words_and_lift_reject_malformed_patterns():
         lift({(2, 4, 3)})
     with pytest.raises(ValueError):
         lift_power({(1, 3, 3)}, 2)
+    with pytest.raises(ValueError, match="smaller than the pattern length"):
+        superpatterns((1, 3, 2), 2)
 
 
 @settings(deadline=None, max_examples=30)
