@@ -92,9 +92,13 @@ def _tau(s: PatternSet) -> Optional[Perm]:
     return fours[0] if len(fours) == 1 else None
 
 
+# whether each length-4 pattern contains each length-3 one, computed once
+_CONTAINS = {(tau, a): contains(tau, a) for tau in S4 for a in S3}
+
+
 def _tau_contains_member(s: PatternSet) -> bool:
     tau = _tau(s)
-    return any(contains(tau, a) for a in _threes(s))
+    return any(_CONTAINS[tau, a] for a in _threes(s))
 
 
 def _orbit_union(*literals: str) -> frozenset[PatternSet]:
@@ -475,12 +479,7 @@ class TableAudit:
                 "covered": self.covered,
                 "claimed_total": self.claimed_total,
                 "uncovered": [
-                    {
-                        "set": p.literal,
-                        "counts": list(p.counts),
-                        "conjecture": p.conjecture,
-                    }
-                    for p in self.uncovered
+                    {"set": p.literal, "counts": list(p.counts), "conjecture": p.conjecture} for p in self.uncovered
                 ],
             },
         }
@@ -555,7 +554,8 @@ def _fit_conjecture(counts: tuple[int, ...]) -> Optional[str]:
 
 
 def _check_pair(
-    s: PatternSet, entry: Optional[CatalogEntry], counts: tuple[int, ...], n_max: int
+    s: PatternSet, entry: Optional[CatalogEntry], counts: tuple[int, ...], values: Optional[tuple[int, ...]],
+    n_max: int,
 ) -> PairCheck:
     if entry is None:
         return PairCheck(
@@ -563,7 +563,6 @@ def _check_pair(
             formula_values=None, verdict="uncovered",
             conjecture=_fit_conjecture(counts),
         )
-    values = tuple(evaluate(entry.formula, n) for n in range(1, n_max + 1))
     # a listed family must also equal the oracle's avoider set, not just its
     # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
@@ -602,8 +601,13 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     orbits = partition_into_classes(members)
     tables = count_tables([o.representative for o in orbits], n_max, jobs)
     counts = {m: table.counts for o, table in zip(orbits, tables) for m in o.members}
+    # one evaluation per distinct formula, keyed by formula, not row: a row's sets may differ
+    claimed = {s: e.formula for s, e in entries.items() if e is not None}
+    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in set(claimed.values())}
     audits = [
-        TableAudit(tid, [_check_pair(s, entries[s], counts[s], n_max) for s in universe])
+        TableAudit(tid, [
+            _check_pair(s, entries[s], counts[s], values.get(claimed.get(s)), n_max) for s in universe
+        ])
         for tid, universe in universes.items()
     ]
     findings = _build_findings(n_max, audits)

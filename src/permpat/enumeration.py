@@ -39,9 +39,15 @@ its number of nodes at depth m is |S_m(T)|, so the tally is the whole table.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import marshal
+import os
+import select
+import signal
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .perms import Perm, PatternSet, pattern_set, standardize
 
@@ -238,22 +244,93 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
 
 # sets in one walk: a chunk of a group of sets sharing their shorter patterns,
-# and a pool worker's unit of work
+# and a worker's unit of work
 _CHUNK = 8
 
 
 class WorkerError(RuntimeError):
-    """A worker process of ``count_tables`` died before returning its tables."""
+    """A worker process of ``count_tables`` ended before returning its tables."""
 
 
 def _compute_counts(sets: Sequence[PatternSet], n_max: int) -> list[tuple[int, ...]]:
     return [tuple(tally) for tally in _walk(n_max, sets, collect=False)[0]]
 
 
-def _table_worker(sets: Sequence[PatternSet], n_max: int) -> list[tuple[int, ...]]:
-    # module-level so a pool can pickle it; _compute_counts is looked up at
-    # call time, so a replacement installed before a fork reaches the workers
-    return _compute_counts(sets, n_max)
+def _serve(chunks: list[list[PatternSet]], n_max: int, task_r: int, task_w: int, out: int) -> NoReturn:
+    # a forked worker: count each chunk whose index it reads from the task
+    # pipe, until EOF, and send back (index, tables); _compute_counts is looked
+    # up at call time, so a replacement installed before the fork applies here
+    code = 1
+    try:
+        os.close(task_w)
+        with open(out, "wb") as sink:
+            while index := os.read(task_r, 4):
+                i = int.from_bytes(index, "little")
+                marshal.dump((i, _compute_counts(chunks[i], n_max)), sink)
+                sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pool(chunks: list[list[PatternSet]], n_max: int, workers: int) -> list[list[tuple[int, ...]]]:
+    """The tables of each chunk, counted by ``workers`` forked children, which
+    take chunk indices from one shared pipe and send records back on pipes of
+    their own.  Indices are written only while the task pipe has room and every
+    result pipe is read as data arrives, so no process waits for good on a full
+    pipe.  Every child is reaped before this returns or raises WorkerError."""
+    tasks = memoryview(b"".join(i.to_bytes(4, "little") for i in range(len(chunks))))
+    task_r, task_w = os.pipe()
+    os.set_blocking(task_w, False)
+    poller = select.poll()
+    poller.register(task_w, select.POLLOUT)
+    received: dict[int, bytearray] = {}  # result pipe -> its bytes, in fork order
+    live: dict[int, int] = {}  # result pipe -> the child writing it, until EOF
+    pids: list[int] = []
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            received[r] = bytearray()
+            pid = os.fork()
+            if pid == 0:
+                _serve(chunks, n_max, task_r, task_w, w)
+            os.close(w)
+            pids.append(pid)
+            live[r] = pid
+            poller.register(r, select.POLLIN)
+        while live:
+            for fd, _ in poller.poll():
+                if fd == task_w:
+                    # PIPE_BUF bytes at most, whole indices, so a write is whole or refused
+                    with contextlib.suppress(BlockingIOError):
+                        tasks = tasks[os.write(task_w, tasks[: select.PIPE_BUF]) :]
+                    if not tasks:  # the children read to EOF
+                        poller.unregister(task_w)
+                        os.close(task_w)
+                        task_w = -1
+                elif block := os.read(fd, 1 << 16):
+                    received[fd] += block
+                else:
+                    poller.unregister(fd)
+                    del live[fd]
+    finally:
+        for fd in (task_r, task_w, *received):
+            if fd >= 0:
+                os.close(fd)
+        # only an interrupted gather leaves a child running
+        for pid in live.values():
+            os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results: list = [None] * len(chunks)
+    for data, code in zip(received.values(), codes):
+        # only a child that exited cleanly has flushed whole records
+        stream = io.BytesIO(data)
+        while code == 0 and stream.tell() < len(data):
+            i, tables = marshal.load(stream)
+            results[i] = tables
+    if None in results:
+        raise WorkerError(f"a count worker process died: {results.count(None)} chunks lack tables, exit codes {codes}")
+    return results
 
 
 def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
@@ -270,23 +347,10 @@ def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
         longest = max(map(len, t), default=0)
         groups.setdefault(frozenset(p for p in t if len(p) < longest), []).append(t)
     chunks = [g[i : i + _CHUNK] for g in groups.values() for i in range(0, len(g), _CHUNK)]
-    if not chunks:
-        return
-    ns = [n_max] * len(chunks)
-    # a fork pool starts all its workers at once: no more than there are
-    # chunks, and none for a single chunk, which this process counts itself
-    workers = min(jobs or 1, len(chunks))
-    if workers < 2:
-        results = map(_table_worker, chunks, ns)
-    else:
-        # imported here: the pool machinery would add to every import of permpat
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(workers) as pool:
-                results = list(pool.map(_table_worker, chunks, ns))
-        except BrokenProcessPool as exc:
-            raise WorkerError(f"a count worker process died: {exc}") from exc
+    # no more workers than chunks, and none for a single chunk or where this
+    # system cannot fork: this process counts those itself
+    workers = min(jobs or 1, len(chunks)) if hasattr(os, "fork") else 1
+    results = _pool(chunks, n_max, workers) if workers > 1 else [_compute_counts(c, n_max) for c in chunks]
     for chunk, tables in zip(chunks, results):
         _TABLE_CACHE.update(zip(chunk, tables))
 
@@ -313,12 +377,13 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
 
     The sets are grouped by their patterns shorter than their longest one,
     and each chunk of up to 8 sets of a group is counted by one walk;
-    ``jobs`` worker processes (at most one per chunk) share the chunks, and
-    None, 1 or a single chunk counts them in this process.  Results come back
-    in input order regardless of the worker count, and share the memo of
-    ``count_table``.
-    Raises ValueError if ``jobs`` is below 1.  If a pool worker process dies,
-    the call raises ``WorkerError``, a ``RuntimeError``, and returns nothing.
+    ``jobs`` forked worker processes, at most one per chunk, share the chunks;
+    None, 1, a single chunk or a system without ``os.fork`` counts them in
+    this process.  Results come back in input order regardless of the worker
+    count, and share the memo of ``count_table``.
+    Raises ValueError if ``jobs`` is below 1.  If a worker exits, raises or is
+    killed before returning its tables, the call raises ``WorkerError``, a
+    ``RuntimeError``, stores nothing and leaves no child process behind.
     """
     normalized = [pattern_set(t) for t in sets]
     _fill(normalized, n_max, jobs)

@@ -32,7 +32,7 @@ class PatternSyntaxError(ValueError):
 
 
 def check_permutation(entries: Sequence[int]) -> Perm:
-    """Validate one-line notation: each of 1..n exactly once.
+    """Validate one-line notation: each of 1..n exactly once, as an int (True or 2.0 raise).
 
     >>> check_permutation([3, 1, 2])
     (3, 1, 2)
@@ -41,7 +41,7 @@ def check_permutation(entries: Sequence[int]) -> Perm:
     """
     p = tuple(entries)
     n = len(p)
-    if sorted(p) != list(range(1, n + 1)):
+    if not all(type(v) is int for v in p) or sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {p!r}")
     return p
 

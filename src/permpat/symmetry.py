@@ -11,7 +11,9 @@ avoider sets, which makes orbits the right unit for the classification tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .perms import Perm, PatternSet, format_pattern_set, pattern_set, pattern_set_key
@@ -108,12 +110,16 @@ def orbit(t: Iterable[Sequence[int]]) -> SymmetryOrbit:
     ['123', '321']
     """
     s = pattern_set(t)
-    images = [s]
-    for op in "riririr":
-        s = apply_set(op, s)
-        images.append(s)
-    members = frozenset(images)
+    # the j-th image of a set is the set of its patterns' j-th images
+    images = [_images(p) for p in s]
+    members = frozenset(frozenset(row[j] for row in images) for j in range(8))
     return SymmetryOrbit(members, min(members, key=pattern_set_key))
+
+
+@lru_cache(maxsize=1024)
+def _images(p: Perm) -> tuple[Perm, ...]:
+    # p, then its images along the chain r, i, r, i, r, i, r
+    return tuple(itertools.accumulate("riririr", lambda q, op: apply_op(op, q), initial=p))
 
 
 def partition_into_classes(sets: Iterable[Iterable[Sequence[int]]]) -> list[SymmetryOrbit]:

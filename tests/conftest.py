@@ -6,11 +6,10 @@ that compare the library against them are genuine cross-checks rather than
 the same code calling itself.  ``PATTERN_SETS`` is the hypothesis strategy
 the property tests share: sets of 1-3 patterns of length 1-6.
 ``dying_worker`` is the one fixture that reaches into the package: it makes
-a pool worker die, to check that the caller gets an error instead of a hang.
+a count worker die, to check that the caller gets an error instead of a hang.
 """
 
 import itertools
-import multiprocessing
 import os
 import signal
 
@@ -48,20 +47,24 @@ def naive_avoiders(n, patterns):
 
 
 @pytest.fixture
-def dying_worker(monkeypatch):
+def dying_worker(monkeypatch, request):
     """Forked count workers exit at once on any chunk holding a set with 123.
 
-    The test process itself still counts such sets.  The memo starts empty,
-    so every set is searched, and is the value of the fixture.  The test fails
+    With the indirect parameter "raise" they raise instead of exiting.  The
+    test process itself still counts such sets.  The memo starts empty, so
+    every set is searched, and is the value of the fixture.  The test fails
     after 20 s instead of hanging if the caller never notices the dead worker.
     """
-    if multiprocessing.get_start_method() != "fork":
+    if not hasattr(os, "fork"):
         pytest.skip("the replacement reaches the workers only when they are forked")
     parent = os.getpid()
     real = enumeration._compute_counts
+    raises = getattr(request, "param", "exit") == "raise"
 
     def compute(sets, n_max):
         if any((1, 2, 3) in patterns for patterns in sets) and os.getpid() != parent:
+            if raises:
+                raise RuntimeError("a count worker raised")
             os._exit(9)
         return real(sets, n_max)
 

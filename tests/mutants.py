@@ -51,9 +51,24 @@ MUTANTS = [
      "        if collect and depth == n:\n",
      "the explicit-family check reads the avoiders of every length from one walk"),
     ("orbit-chain-six-steps", "src/permpat/symmetry.py",
-     'for op in "riririr":',
-     'for op in "ririri":',
+     'accumulate("riririr",',
+     'accumulate("ririri",',
      "six steps of r and i miss the eighth symmetry of the square"),
+    ("contains-facts-reversed", CATALOG,
+     "_CONTAINS = {(tau, a): contains(tau, a) for tau in S4 for a in S3}",
+     "_CONTAINS = {(tau, a): contains(a, tau) for tau in S4 for a in S3}",
+     "the predicate rows ask whether the length-4 pattern contains a length-3 one"),
+    ("formula-values-by-row", CATALOG,
+     "    claimed = {s: e.formula for s, e in entries.items() if e is not None}\n"
+     "    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in set(claimed.values())}\n",
+     "    claimed = {s: e.row_id for s, e in entries.items() if e is not None}\n"
+     "    values = {e.row_id: tuple(evaluate(e.formula, n) for n in range(1, n_max + 1)) for e in entries.values() if e}\n",
+     "some explicit families differ from their row's formula below the threshold, and each set's "
+     "values must be its own formula's"),
+    ("missing-result-unchecked", ENUMERATION,
+     "    if None in results:\n",
+     "    if False:\n",
+     "a chunk that a dead worker left without tables must raise WorkerError"),
     ("inflate-run-too-long", "src/permpat/formulas.py",
      "range(v + shift, v - 1, -1) if descending",
      "range(v + shift + 1, v - 1, -1) if descending",

@@ -16,8 +16,8 @@ from permpat.catalog import (
     verify,
 )
 from permpat.enumeration import _TABLE_CACHE, count_table
-from permpat.formulas import render
-from permpat.perms import format_pattern_set, parse_pattern_set, pattern_set_key
+from permpat.formulas import evaluate, render
+from permpat.perms import all_permutations, contains, format_pattern_set, parse_pattern_set, pattern_set_key
 from permpat.symmetry import orbit, partition_into_classes
 
 from conftest import naive_avoiders
@@ -40,6 +40,13 @@ def test_table_of():
     assert table_of(parse_pattern_set("123;321")) is None
     assert table_of(parse_pattern_set("12;1234")) is None
     assert table_of(parse_pattern_set("123;321;1234;4321")) is None
+
+
+def test_containment_facts_are_contains():
+    # the predicate rows read (tau, a) from one table of 144 facts
+    facts = {(tau, a): contains(tau, a) for tau in all_permutations(4) for a in all_permutations(3)}
+    assert len(facts) == 144
+    assert catalog._CONTAINS == facts
 
 
 @pytest.mark.parametrize("literal", ["124;1234", "123;1235", "133"])
@@ -290,6 +297,18 @@ def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):
     assert len(report.pairs) == len(universe) == 1512
     for s in universe:
         assert report.pairs[s].counts == count_table(s, 7).counts
+
+
+def test_pair_formula_values_are_each_sets_own_formula():
+    # verify evaluates each distinct formula once; every set must still get
+    # its own formula's values, which for some explicit families differ from
+    # their row's formula below the threshold
+    report = verify(7)
+    entries = assign_entries(report.pairs)
+    for s, pair in report.pairs.items():
+        entry = entries[s]
+        expected = None if entry is None else tuple(evaluate(entry.formula, n) for n in range(1, 8))
+        assert pair.formula_values == expected
 
 
 def test_verify_report_independent_of_jobs_and_cache():

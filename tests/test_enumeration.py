@@ -1,8 +1,12 @@
-import concurrent.futures.process
 import itertools
+import os
 import random
+import signal
+import subprocess
+import sys
 import time
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +170,11 @@ def test_malformed_patterns_rejected():
         count_table({(2, 4, 3), (1, 2, 3)}, 6)
     with pytest.raises(ValueError):
         count_table({(1, 3, 3, 5, 4)}, 6)
+    # entries that equal ints but are not: True == 1, and 2.0 == 2
+    with pytest.raises(ValueError):
+        count_table([(True, 2)], 4)
+    with pytest.raises(ValueError):
+        count_table([(1, 2.0)], 3)
     with pytest.raises(ValueError):
         contains((1, 2, 3), (5, 5))
     with pytest.raises(ValueError):
@@ -273,25 +282,16 @@ def test_dead_worker_raises(dying_worker):
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # a fork pool starts all max_workers processes at once, so the pool size
-    # must be capped by the number of 8-set chunks, and a single chunk needs
-    # none; the fake starts nothing
+    # the pool forks all its workers at once, so their number must be capped
+    # by the number of 8-set chunks, and a single chunk needs none; the fake
+    # forks nothing
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_pool(chunks, n_max, workers):
+        sizes.append(workers)
+        return [enumeration._compute_counts(chunk, n_max) for chunk in chunks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration, "_pool", recording_pool)
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
     assert count_tables([{p} for p in S3[:3]], 5, jobs=64)[0].counts[5] == 42
     assert sizes == []
@@ -299,3 +299,70 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     enumeration._TABLE_CACHE.clear()
     count_tables([{p} for p in S4[:17]], 5, jobs=2)
     assert sizes == [3, 2]
+
+
+def _no_child_left():
+    # waitpid on any child raises only when this process has none at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_reaps_every_worker(monkeypatch):
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
+    assert [t.counts[6] for t in count_tables(sets, 6, jobs=2)] == [132, 132, 132, 0]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("dying_worker", ["exit", "raise"], indirect=True)
+def test_failed_worker_raises_and_leaves_no_child(dying_worker):
+    # a worker that raises ends the call as one that exits does, and either
+    # way every worker has been reaped when WorkerError reaches the caller
+    sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
+    started = time.monotonic()
+    with pytest.raises(enumeration.WorkerError, match="worker process died"):
+        count_tables(sets, 6, jobs=2)
+    assert time.monotonic() - started < 5
+    assert dying_worker == {}
+    _no_child_left()
+
+
+def test_pool_streams_more_chunks_and_results_than_a_pipe_holds(monkeypatch):
+    # 17,000 one-set chunks: their indices (4 bytes each) and their records
+    # both exceed the 64 KiB a Linux pipe holds, so a pool that wrote all the
+    # indices before reading any result would block for good
+    sets = [{p} for p in itertools.islice(itertools.chain(all_permutations(7), all_permutations(8)), 17000)]
+    monkeypatch.setattr(enumeration, "_CHUNK", 1)
+
+    def expire(signum, frame):
+        pytest.fail("the pool was still blocked after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+        pooled = count_tables(sets, 1, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    assert pooled == count_tables(sets, 1, jobs=1)
+    assert {t.counts for t in pooled} == {(1, 1)}
+    _no_child_left()
+
+
+def test_pool_imports_no_process_pool_machinery():
+    # the workers are forked directly, so a pooled call in a fresh interpreter
+    # loads neither multiprocessing nor concurrent.futures
+    src = Path(enumeration.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from permpat import count_tables\n"
+        "tables = count_tables([{(1, 2, 3)}, {(2, 1), (1, 2, 3, 4)}], 6, jobs=2)\n"
+        "assert [t.counts[6] for t in tables] == [132, 0]\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

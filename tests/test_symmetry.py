@@ -182,6 +182,11 @@ def test_orbit_rejects_malformed_patterns():
         orbit({(2, 4, 3), (1, 2, 3)})
     with pytest.raises(ValueError):
         partition_into_classes([{(1, 2, 3)}, {(1, 3, 3)}])
+    # entries that equal ints but are not: True == 1, and 2.0 == 2
+    with pytest.raises(ValueError):
+        orbit([(2, True)])
+    with pytest.raises(ValueError):
+        orbit([(1, 2.0)])
 
 
 @settings(deadline=None, max_examples=40)
@@ -192,3 +197,16 @@ def test_orbit_members_match_naive_count(t, n):
     expected = count_table(t, 6).counts[n]
     for member in orbit(t).members:
         assert len(naive_avoiders(n, member)) == expected
+
+
+def test_orbit_is_the_seven_step_chain_on_every_universe_set():
+    # orbit builds a set's images from memoized per-pattern images; they must
+    # be the sets that r, i, r, i, r, i, r reaches from the set itself
+    for tid in (1, 2, 3, 4):
+        for s in expand_universe(tid):
+            images = [s]
+            for op in "riririr":
+                images.append(apply_set(op, images[-1]))
+            o = orbit(s)
+            assert o.members == frozenset(images)
+            assert o.representative == min(images, key=pattern_set_key)
