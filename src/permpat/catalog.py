@@ -41,7 +41,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .enumeration import CountTable, _walk, count_table, count_tables, enumerate_avoiders
 from .formulas import (
@@ -77,28 +77,34 @@ P4321 = (4, 3, 2, 1)
 
 S3 = list(all_permutations(3))
 S4 = list(all_permutations(4))
+_S3, _S4 = frozenset(S3), frozenset(S4)
 
 
 class CatalogIntegrityError(RuntimeError):
     """A pattern set satisfied two contradictory table rows."""
 
 
-def _threes(s: PatternSet) -> frozenset[Perm]:
-    return frozenset(p for p in s if len(p) == 3)
+class _Parts(NamedTuple):
+    """A set with its length-3 patterns and its one length-4 pattern (None
+    unless it has exactly one); the rows read these of each set many times,
+    so ``assign_entries`` splits each set once."""
+
+    s: PatternSet
+    threes: frozenset[Perm]
+    tau: Optional[Perm]
 
 
-def _tau(s: PatternSet) -> Optional[Perm]:
+def _split(s: PatternSet) -> _Parts:
     fours = [p for p in s if len(p) == 4]
-    return fours[0] if len(fours) == 1 else None
+    return _Parts(s, frozenset(p for p in s if len(p) == 3), fours[0] if len(fours) == 1 else None)
 
 
 # whether each length-4 pattern contains each length-3 one, computed once
 _CONTAINS = {(tau, a): contains(tau, a) for tau in S4 for a in S3}
 
 
-def _tau_contains_member(s: PatternSet) -> bool:
-    tau = _tau(s)
-    return any(_CONTAINS[tau, a] for a in _threes(s))
+def _tau_contains_member(x: _Parts) -> bool:
+    return any(_CONTAINS[x.tau, a] for a in x.threes)
 
 
 def _orbit_union(*literals: str) -> frozenset[PatternSet]:
@@ -161,18 +167,18 @@ class TableRow:
     citation: str
     formula: CountFormula
     valid_from: int
-    matches: Callable[[PatternSet], bool] = field(compare=False)
-    per_set: Optional[Callable[[PatternSet], tuple[CountFormula, int]]] = field(
+    matches: Callable[[_Parts], bool] = field(compare=False)
+    per_set: Optional[Callable[[_Parts], tuple[CountFormula, int]]] = field(
         default=None, compare=False
     )
 
 
-def _member_of(members: frozenset[PatternSet]) -> Callable[[PatternSet], bool]:
-    return lambda s: s in members
+def _member_of(members: frozenset[PatternSet]) -> Callable[[_Parts], bool]:
+    return lambda x: x.s in members
 
 
-def _zero_matches(s: PatternSet, strict: bool = False) -> bool:
-    t3, tau = _threes(s), _tau(s)
+def _zero_matches(x: _Parts, strict: bool = False) -> bool:
+    t3, tau = x.threes, x.tau
     if strict and len(t3) == 6:
         return False
     return ({P123, P321} <= t3) or (P123 in t3 and tau == P4321) or (P321 in t3 and tau == P1234)
@@ -251,16 +257,16 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     # ---- two length-3 patterns plus one length-4 pattern (360 sets)
     TableRow(2, "2.pow2", "pair in the 2^(n-1) class, t contains a member", 160,
              "Simion-Schmidt; containment reduction", PowerLinear(0, 1, -1, (), 0), 1,
-             matches=lambda s: _threes(s) in _POW2_PAIRS and _tau_contains_member(s)),
+             matches=lambda x: x.threes in _POW2_PAIRS and _tau_contains_member(x)),
     TableRow(2, "2.nn2", "pair in the C(n,2)+1 class with t containing a member, "
                          "or one of 13 listed classes (one corrected)", 118,
              "Simion-Schmidt; direct recurrences", BinomialPoly(((1, 0, 2),), 1), 1,
-             matches=lambda s: (_threes(s) in _NN2_PAIRS and _tau_contains_member(s))
-             or s in _NN2_ORBITS),
+             matches=lambda x: (x.threes in _NN2_PAIRS and _tau_contains_member(x))
+             or x.s in _NN2_ORBITS),
     TableRow(2, "2.zero", "{123,321,t}; {123,a,4321}; {321,a,1234}", 32,
              "Erdos-Szekeres", ZeroBeyond(5), 5,
              matches=_zero_matches,
-             per_set=lambda s: (ZeroBeyond(5), 5) if {P123, P321} <= _threes(s) else (ZeroBeyond(7), 7)),
+             per_set=lambda x: (ZeroBeyond(5), 5) if {P123, P321} <= x.threes else (ZeroBeyond(7), 7)),
     TableRow(2, "2.linear-2n", "cls{123,312,t}, t in {1432,2143,2431,3214,3241,3421}", 24,
              "direct recurrences", BinomialPoly(((2, 0, 1),), -2), 2,
              matches=_member_of(_2N2_ORBITS)),
@@ -278,18 +284,18 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(3, "3.linear-n", "T a count-n triple with t containing a member, "
                               "or cls{123,132,213,3412}", 282,
              "Simion-Schmidt; direct recurrence", BinomialPoly(((1, 0, 1),)), 1,
-             matches=lambda s: (_threes(s) in _N_TRIPLES and _tau_contains_member(s))
-             or s in _N_SPECIAL_ORBIT),
+             matches=lambda x: (x.threes in _N_TRIPLES and _tau_contains_member(x))
+             or x.s in _N_SPECIAL_ORBIT),
     TableRow(3, "3.zero", "123,321 in T; or 123 in T and t=4321; or 321 in T and t=1234", 108,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
              matches=_zero_matches,
-             per_set=lambda s: (ZeroBeyond(7), 7) if s in _ZERO6_EXCEPTIONS else (ZeroBeyond(6), 6)),
+             per_set=lambda x: (ZeroBeyond(7), 7) if x.s in _ZERO6_EXCEPTIONS else (ZeroBeyond(6), 6)),
     TableRow(3, "3.three", "13 listed classes (10 orbits)", 46,
              "explicit avoider lists", BinomialPoly((), 3), 3,
              matches=_member_of(_THREE_ORBITS)),
     TableRow(3, "3.fibonacci", "T in the Fibonacci class, t contains a member", 38,
              "Simion-Schmidt; containment reduction", FibonacciForm(1, 1, 0), 1,
-             matches=lambda s: _threes(s) in _FIB_TRIPLES and _tau_contains_member(s)),
+             matches=lambda x: x.threes in _FIB_TRIPLES and _tau_contains_member(x)),
     TableRow(3, "3.four", "cls{123,132,213,3421}, cls{123,132,213,4231} (corrected reps)", 6,
              "explicit avoider lists", BinomialPoly((), 4), 4,
              matches=_member_of(_FOUR_ORBITS)),
@@ -298,19 +304,19 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(4, "4.zero", "strict subsets T with 123,321 in T; or 123 in T and t=4321; "
                           "or 321 in T and t=1234", 348,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
-             matches=lambda s: _zero_matches(s, strict=True)),
+             matches=lambda x: _zero_matches(x, strict=True)),
     TableRow(4, "4.two", "|T|=4 without {123,321}, t contains a member", 100,
              "Simion-Schmidt; containment reduction", BinomialPoly((), 2), 2,
-             matches=lambda s: len(_threes(s)) == 4
-             and not {P123, P321} <= _threes(s) and _tau_contains_member(s)),
+             matches=lambda x: len(x.threes) == 4
+             and not {P123, P321} <= x.threes and _tau_contains_member(x)),
     TableRow(4, "4.one", "|T|=5 with 123 (resp. 321) missing and t != 1234 (resp. 4321), "
                          "or one of 4 listed singleton classes", 56,
              "explicit avoider lists", BinomialPoly((), 1), 3,
-             matches=lambda s: (len(_threes(s)) == 5
-                                and ((P123 not in _threes(s) and _tau(s) != P1234)
-                                     or (P321 not in _threes(s) and _tau(s) != P4321)))
-             or s in _SINGLETON_ORBITS,
-             per_set=lambda s: (BinomialPoly((), 1), 3 if len(_threes(s)) == 5 else 4)),
+             matches=lambda x: (len(x.threes) == 5
+                                and ((P123 not in x.threes and x.tau != P1234)
+                                     or (P321 not in x.threes and x.tau != P4321)))
+             or x.s in _SINGLETON_ORBITS,
+             per_set=lambda x: (BinomialPoly((), 1), 3 if len(x.threes) == 5 else 4)),
 )
 
 
@@ -342,18 +348,21 @@ def table_of(s: PatternSet) -> Optional[int]:
     """Which table universe a set belongs to, if any.  A member that is not a
     permutation raises ValueError: it is looked up in S_3 and S_4 if the set
     has the universes' shape, and checked by ``pattern_set`` otherwise."""
-    threes, tau = _threes(s), _tau(s)
-    if tau in S4 and threes and threes.issubset(S3) and len(threes) + 1 == len(s):
-        return min(len(threes), 4)
-    pattern_set(s)
+    return _table_of(_split(s))
+
+
+def _table_of(x: _Parts) -> Optional[int]:
+    if x.tau in _S4 and x.threes and x.threes <= _S3 and len(x.threes) + 1 == len(x.s):
+        return min(len(x.threes), 4)
+    pattern_set(x.s)
     return None
 
 
-def _entry_for(row: TableRow, s: PatternSet) -> CatalogEntry:
-    formula, valid_from = row.per_set(s) if row.per_set is not None else (row.formula, row.valid_from)
+def _entry_for(row: TableRow, x: _Parts) -> CatalogEntry:
+    formula, valid_from = row.per_set(x) if row.per_set is not None else (row.formula, row.valid_from)
     return CatalogEntry(
         claimed_class_size=row.claimed_size,
-        formula=EXPLICIT_FAMILIES.get(s, formula),
+        formula=EXPLICIT_FAMILIES.get(x.s, formula),
         valid_from=valid_from,
         source_table=row.table,
         citation=row.citation,
@@ -367,12 +376,13 @@ def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[
     malformed set and CatalogIntegrityError on a set that satisfies two rows."""
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
     for s in universe:
-        tid = table_of(s)  # None outside the four universes, so no row is hit
-        hits = [row for row in TABLE_ROWS if row.table == tid and row.matches(s)]
+        x = _split(s)
+        tid = _table_of(x)  # None outside the four universes, so no row is hit
+        hits = [row for row in TABLE_ROWS if row.table == tid and row.matches(x)]
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")
-        out[s] = _entry_for(hits[0], s) if hits else None
+        out[s] = _entry_for(hits[0], x) if hits else None
     return out
 
 
@@ -583,11 +593,12 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
 
     Every set gets its row from ``assign_entries``.  The four universes are
     partitioned once into reverse/inverse orbits (283 for the 1,512 sets) only
-    to share counts: the oracle counts one representative per orbit, with one
-    walk for each chunk of up to 8 representatives that share their length-3
-    patterns, spread over ``jobs`` worker processes (None or 1 for none; below
-    1 raises ValueError), and each member gets its representative's count
-    table (avoider counts are invariant on an orbit; Simion-Schmidt).
+    to share counts: the oracle counts one representative per orbit, all of
+    them in one walk, or with ``jobs`` above 1 in chunks of up to 8 whose
+    length-4 patterns end in the same q, spread over ``jobs`` worker processes
+    (None or 1 for none; below 1 raises ValueError), and each member gets its
+    representative's count table (avoider counts are invariant on an orbit;
+    Simion-Schmidt).
     ``count_table`` and ``classify`` always search the set they are given.  The
     formula, threshold, class-size and explicit-family set checks run on every
     member.

@@ -30,11 +30,17 @@ held as powers 1 << value.  A pattern of length <= 3 scans no slot, so its
 fold reads only the depth and the gap, and a walk computes it once per
 (depth, gap) for each distinct set of such patterns.
 
-One walk serves several pattern sets.  Since Av(T + {p}) lies in Av(T),
-sets that share their shorter patterns T share most of their tree, so each
-node is built once for all the sets it avoids, and each of those sets
-carries its own mask.  A walk of one set counts at n_max in a single pass:
-its number of nodes at depth m is |S_m(T)|, so the tally is the whole table.
+One walk serves several pattern sets.  Each node is built once for all the
+sets it avoids, and each of those sets carries its own mask; sets with the
+same patterns of length <= 3 share those folds.  The fold of a longer pattern
+depends only on its q and on the ranks asked of q, so a q that two or more
+sets of the walk ask for is scanned once per child for all of them.  That
+scan packs the interval of the i-th rank any of them asks into bits
+i * n .. i * n + n - 1 of one int, as a folded child has at most n gaps, and
+each set ORs in the slices of its own ranks.  In the tables every set's
+longest pattern has length 4, so its q is one of the six members of S_3.  A
+walk of one set counts at n_max in a single pass: its number of nodes at
+depth m is |S_m(T)|, so the tally is the whole table.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import marshal
 import os
 import select
 import signal
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NoReturn, Optional, Sequence
@@ -65,14 +72,16 @@ class CountTable:
 
 
 @lru_cache(maxsize=1024)
-def _shape(q: Perm, ranks: int) -> tuple:
+def _shape(q: Perm, ranks: int, stride: int = 0) -> tuple:
     """Fold plan for the patterns q + (r,) with bit r-1 of ``ranks`` set.
 
     The plan's slots index a scratch list of powers 1 << value: slots 0..k-1
     of q (k-1 is the new entry, k-2 the free slot's least candidate), the
     bottom and top sentinels, and the free slot's greatest candidate.
     ``windows[j]`` holds the nearest slots below and above q[j] among those
-    placed before it, and ``pairs`` the two ends of each forbidden interval.
+    placed before it, and ``pairs`` the two ends of each forbidden interval
+    with the shift that moves the interval of the i-th rank asked to bit
+    i * ``stride`` of the fold; a stride of 0 ORs them all into one mask.
     """
     k = len(q)
     slot = {r: j for j, r in enumerate((*q, 0, k + 1))}
@@ -80,24 +89,25 @@ def _shape(q: Perm, ranks: int) -> tuple:
     for j in range(k - 1):
         placed = q[:j] + (q[-1], 0, k + 1)
         windows.append((slot[max(r for r in placed if r < q[j])], slot[min(r for r in placed if r > q[j])]))
-    pairs = tuple(
-        (slot[r - 1], k + 2 if slot[r] == k - 2 else slot[r]) for r in range(1, k + 2) if ranks >> (r - 1) & 1
-    )
+    asked = [r for r in range(1, k + 2) if ranks >> (r - 1) & 1]
+    pairs = tuple((slot[r - 1], k + 2 if slot[r] == k - 2 else slot[r], i * stride) for i, r in enumerate(asked))
     return k, tuple(windows), pairs
 
 
-def _compile(patterns: PatternSet) -> list[tuple]:
-    """One fold plan per distinct q = p[:-1] over the patterns of length >= 2.
-
-    Every walk compiles its sets anew, so the shapes come from a cache and
-    only the scratch lists are new.
-    """
-    groups: dict[Perm, int] = {}
+def _ranks(patterns: PatternSet) -> dict[Perm, int]:
+    """The ranks r asked of each q, as a bitmask, over the patterns q + (r,)
+    of length >= 2."""
+    asks: dict[Perm, int] = {}
     for p in patterns:
         if len(p) >= 2:
             q = standardize(p[:-1])
-            groups[q] = groups.get(q, 0) | 1 << (p[-1] - 1)
-    return [(*_shape(q, ranks), [1] * (len(q) + 3)) for q, ranks in sorted(groups.items())]
+            asks[q] = asks.get(q, 0) | 1 << (p[-1] - 1)
+    return asks
+
+
+def _plan(q: Perm, ranks: int, stride: int = 0) -> tuple:
+    # the shapes come from a cache, and each walk gets scratch lists of its own
+    return (*_shape(q, ranks, stride), [1] * (len(q) + 3))
 
 
 def _scan(child: list[int], plan: tuple, slot: int, start: int) -> int:
@@ -127,8 +137,8 @@ def _scan(child: list[int], plan: tuple, slot: int, start: int) -> int:
             if cand:
                 val[k - 2] = cand & -cand
                 val[k + 2] = 1 << (cand.bit_length() - 1)
-                for a, c in pairs:
-                    nf |= val[c] - val[a]
+                for a, c, s in pairs:
+                    nf |= (val[c] - val[a]) << s
         later |= b
     return nf
 
@@ -151,8 +161,8 @@ def _fold(child: list[int], plans: list[tuple], full: int) -> int:
                 continue
             val[0] = cand & -cand
             val[4] = 1 << (cand.bit_length() - 1)
-        for a, b in pairs:
-            nf |= val[b] - val[a]
+        for a, b, s in pairs:
+            nf |= (val[b] - val[a]) << s
     return nf
 
 
@@ -164,17 +174,35 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
     """
     tallies = [[0] * (n + 1) for _ in sets]
     out: Optional[list[list[Perm]]] = [[] for _ in range(n + 1)] if collect else None
+    live = [(tally, patterns, _ranks(patterns)) for tally, patterns in zip(tallies, sets) if () not in patterns]
+    # the q's of length >= 3 that two or more sets ask for, with the union of
+    # the ranks asked: their scans are shared (see the module docstring)
+    union: dict[Perm, int] = {}
+    users: Counter[Perm] = Counter()
+    for _, _, asks in live:
+        for q, ranks in asks.items():
+            union[q] = union.get(q, 0) | ranks
+            users[q] += 1
+    # per shared q: [the child last scanned, its packed fold, the plan]
+    scans = {q: [None, 0, [_plan(q, union[q], n)]] for q in union if len(q) > 2 and users[q] > 1}
     # the folds of the patterns of length <= 3 per (depth, gap), filled in as
     # the walk first needs them
     short_cells: dict[PatternSet, list] = {}
     roots = []
-    for tally, patterns in zip(tallies, sets):
-        if () in patterns:
-            continue
+    for tally, patterns, asks in live:
         short = frozenset(p for p in patterns if len(p) <= 3)
         cells = short_cells.setdefault(short, [None] * (n * n))
-        plans = _compile(patterns)
-        spec = (tally, cells, [x for x in plans if x[0] > 2], [x for x in plans if x[0] <= 2])
+        own = [_plan(q, r) for q, r in sorted(asks.items()) if q not in scans]
+        # rank j + 1 of a shared q has the slice numbered by the ranks below
+        # it that any set asks
+        uses = tuple(
+            (scans[q], (union[q] & ((1 << j) - 1)).bit_count() * n)
+            for q, r in asks.items()
+            if q in scans
+            for j in range(len(q) + 1)
+            if r >> j & 1
+        )
+        spec = (tally, cells, [x for x in own if x[0] > 2], [x for x in own if x[0] <= 2], uses)
         # a length-1 pattern forbids the root's only gap
         roots.append((spec, int((1,) in patterns)))
 
@@ -206,7 +234,7 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
             below = (bit << 1) - 1
             nxt = []
             for entry in active:
-                (_, cells, plans, short), forb = entry
+                (_, cells, plans, short, uses), forb = entry
                 if forb & bit:
                     continue
                 # gap g splits around v: bits above g move up one, bit g is copied
@@ -216,6 +244,13 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
                     if f is None:
                         f = cells[row + g] = _fold(child, short, full)
                     nf |= (f | _fold(child, plans, full)) if plans else f
+                    if uses:
+                        for scan, s in uses:
+                            # the first set that asks scans this child for all
+                            if scan[0] is not child:
+                                scan[0] = child
+                                scan[1] = _fold(child, scan[2], full)
+                            nf |= (scan[1] >> s) & full
                 nxt.append((entry[0], nf))
             if last:
                 for spec, nf in nxt:
@@ -243,8 +278,8 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
 # _fill is the only function that writes here
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
 
-# sets in one walk: a chunk of a group of sets sharing their shorter patterns,
-# and a worker's unit of work
+# sets in one pool chunk, a worker's unit of work: few enough that the chunks
+# balance the workers; a count in this process walks every set at once
 _CHUNK = 8
 
 
@@ -340,17 +375,21 @@ def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be at least 1")
     todo = [t for t in dict.fromkeys(sets) if len(_TABLE_CACHE.get(t, ())) <= n_max]
-    # sets that share their patterns shorter than their longest one share
-    # most of their tree, so each chunk is one walk
-    groups: dict[PatternSet, list[PatternSet]] = {}
-    for t in todo:
-        longest = max(map(len, t), default=0)
-        groups.setdefault(frozenset(p for p in t if len(p) < longest), []).append(t)
-    chunks = [g[i : i + _CHUNK] for g in groups.values() for i in range(0, len(g), _CHUNK)]
-    # no more workers than chunks, and none for a single chunk or where this
-    # system cannot fork: this process counts those itself
-    workers = min(jobs or 1, len(chunks)) if hasattr(os, "fork") else 1
-    results = _pool(chunks, n_max, workers) if workers > 1 else [_compute_counts(c, n_max) for c in chunks]
+    if not todo:
+        return
+    chunks = [todo]
+    if (jobs or 1) > 1 and hasattr(os, "fork"):
+        # a pool chunk holds sets whose longest patterns end in the same q's,
+        # so its walk still scans each node once per q for all of them
+        groups: dict[frozenset[Perm], list[PatternSet]] = {}
+        for t in todo:
+            longest = max(map(len, t), default=0)
+            groups.setdefault(frozenset(standardize(p[:-1]) for p in t if len(p) == longest), []).append(t)
+        chunks = [g[i : i + _CHUNK] for g in groups.values() for i in range(0, len(g), _CHUNK)]
+    # no more workers than chunks, and none for a single chunk, which is then
+    # every set: this process counts them in one walk
+    workers = min(jobs or 1, len(chunks))
+    results = _pool(chunks, n_max, workers) if workers > 1 else [_compute_counts(todo, n_max)]
     for chunk, tables in zip(chunks, results):
         _TABLE_CACHE.update(zip(chunk, tables))
 
@@ -375,12 +414,13 @@ def count_avoiders(n: int, t: Iterable[Sequence[int]]) -> int:
 def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Optional[int] = None) -> list[CountTable]:
     """Count tables for many pattern sets, optionally across worker processes.
 
-    The sets are grouped by their patterns shorter than their longest one,
-    and each chunk of up to 8 sets of a group is counted by one walk;
-    ``jobs`` forked worker processes, at most one per chunk, share the chunks;
-    None, 1, a single chunk or a system without ``os.fork`` counts them in
-    this process.  Results come back in input order regardless of the worker
-    count, and share the memo of ``count_table``.
+    None, 1 or a system without ``os.fork`` counts every set in one walk in
+    this process.  Otherwise the sets are grouped by the q's that their
+    longest patterns end in (see the module docstring), each chunk of up to 8
+    sets of a group is counted by one walk, and ``jobs`` forked worker
+    processes, at most one per chunk, share the chunks; a single chunk is one
+    walk in this process.  Results come back in input order regardless of the
+    worker count, and share the memo of ``count_table``.
     Raises ValueError if ``jobs`` is below 1.  If a worker exits, raises or is
     killed before returning its tables, the call raises ``WorkerError``, a
     ``RuntimeError``, stores nothing and leaves no child process behind.

@@ -65,6 +65,18 @@ MUTANTS = [
      "    values = {e.row_id: tuple(evaluate(e.formula, n) for n in range(1, n_max + 1)) for e in entries.values() if e}\n",
      "some explicit families differ from their row's formula below the threshold, and each set's "
      "values must be its own formula's"),
+    ("shared-scan-reused-for-sibling", ENUMERATION,
+     "if scan[0] is not child:",
+     "if scan[0] is None or len(scan[0]) != len(child):",
+     "a shared scan belongs to one child; a sibling has as many entries but other values"),
+    ("shared-scan-neighbouring-rank", ENUMERATION,
+     "(union[q] & ((1 << j) - 1)).bit_count() * n",
+     "(union[q] & ((2 << j) - 1)).bit_count() * n",
+     "each set reads the slice of the packed scan that holds its own rank's interval"),
+    ("shared-scan-slices-overlap", ENUMERATION,
+     "_plan(q, union[q], n)]",
+     "_plan(q, union[q], n - 1)]",
+     "a folded child has up to n gaps, so slices n - 1 bits apart run into each other"),
     ("missing-result-unchecked", ENUMERATION,
      "    if None in results:\n",
      "    if False:\n",
@@ -90,11 +102,11 @@ MUTANTS = [
      "elif n <= p.valid_from:",
      "the threshold n itself is checked, not skipped"),
     ("per-set-ignored", CATALOG,
-     "row.per_set(s) if row.per_set is not None else",
-     "row.per_set(s) if False else",
+     "row.per_set(x) if row.per_set is not None else",
+     "row.per_set(x) if False else",
      "rows 2.zero, 3.zero and 4.one give some sets their own formula or threshold"),
     ("explicit-family-dropped", CATALOG,
-     "formula=EXPLICIT_FAMILIES.get(s, formula),",
+     "formula=EXPLICIT_FAMILIES.get(x.s, formula),",
      "formula=formula,",
      "a set with a listed avoider family is claimed by that family"),
     ("double-row-match-let-through", CATALOG,
@@ -102,8 +114,8 @@ MUTANTS = [
      "if len(hits) > 2:",
      "a set that satisfies two rows is a catalog error"),
     ("table-of-unchecked", CATALOG,
-     "if tau in S4 and threes and threes.issubset(S3) and len(threes) + 1 == len(s):",
-     "if tau is not None and threes and len(threes) + 1 == len(s):",
+     "if x.tau in _S4 and x.threes and x.threes <= _S3 and len(x.threes) + 1 == len(x.s):",
+     "if x.tau is not None and x.threes and len(x.threes) + 1 == len(x.s):",
      "a non-permutation member of a universe-shaped set must raise, not get a table"),
     ("classify-set-as-representative", "src/permpat/cli.py",
      "format_pattern_set(orbit(table.pattern_set).representative)",

@@ -114,8 +114,8 @@ def test_collecting_walk_lists_every_length(t, n):
 @settings(deadline=None, max_examples=10)
 @given(st.lists(PATTERN_SETS, min_size=1, max_size=4))
 def test_count_tables_pool_matches_serial_from_cold_cache(sets):
-    # {123} and {21, 1234} differ in their shorter patterns, so there are at
-    # least two chunks and jobs=2 starts a pool
+    # the longest patterns of {123} and {21, 1234} end in different q's, so
+    # there are at least two chunks and jobs=2 starts a pool
     sets = sets + [{(1, 2, 3)}, {(2, 1), (1, 2, 3, 4)}]
     _TABLE_CACHE.clear()
     pooled = count_tables(sets, 6, jobs=2)
@@ -126,8 +126,8 @@ def test_count_tables_pool_matches_serial_from_cold_cache(sets):
 
 @st.composite
 def chunk_batches(draw):
-    # sets sharing their length-3 patterns T go into one walk; mix them with
-    # unrelated sets, in any order
+    # sets sharing their length-3 patterns T, mixed with unrelated sets in any
+    # order; a serial call counts them all in one walk
     t = draw(st.frozensets(st.sampled_from(S3), max_size=3))
     taus = draw(st.lists(st.sampled_from(S4), min_size=1, max_size=6, unique=True))
     loose = draw(st.lists(PATTERN_SETS, min_size=max(0, 2 - len(taus)), max_size=10 - len(taus)))
@@ -143,9 +143,65 @@ def test_chunk_walk_matches_naive(batch, n):
         assert table.counts[n] == len(naive_avoiders(n, s))
 
 
+def _extend(q, r):
+    # the pattern that ends in rank r after the entries of q, that is q + (r,)
+    return tuple(x + (x >= r) for x in q) + (r,)
+
+
+@st.composite
+def shared_q_batches(draw):
+    # several short-pattern sets T whose long patterns all end in one q, so
+    # one walk scans each node once for q on behalf of all of them: one set
+    # asks two ranks of q (as {1234, 1243} does of 123), another a rank that
+    # the first does not ask, and a q of length 4 gives length-5 patterns,
+    # which go through the nested-slot scan
+    q = draw(st.sampled_from(S3 + S4))
+    ranks = st.integers(1, len(q) + 1)
+    two = draw(st.lists(ranks, min_size=2, max_size=2, unique=True))
+    other = draw(ranks.filter(lambda r: r not in two))
+    more = draw(st.lists(st.frozensets(ranks, min_size=1), max_size=3))
+    shorts = draw(st.lists(st.frozensets(st.sampled_from(S3), max_size=3), min_size=2, max_size=4, unique=True))
+    asks = [two, [other], *more]
+    batch = [t | {_extend(q, r) for r in rs} for t, rs in zip(itertools.cycle(shorts), asks)]
+    return draw(st.permutations(batch + draw(st.lists(PATTERN_SETS, max_size=3))))
+
+
+@settings(deadline=None, max_examples=25)
+@given(shared_q_batches(), st.integers(3, 6))
+def test_shared_scan_walk_matches_naive(batch, n):
+    expected = [len(naive_avoiders(n, s)) for s in batch]
+    for jobs in (1, 2):
+        _TABLE_CACHE.clear()
+        assert [t.counts[n] for t in count_tables(batch, n, jobs=jobs)] == expected
+
+
+def test_one_walk_of_the_representatives_matches_their_own_walks(monkeypatch):
+    # verify counts its 283 orbit representatives in one walk when serial;
+    # each set's table from that walk equals the table of a walk of it alone
+    from permpat.catalog import expand_universe
+    from permpat.symmetry import partition_into_classes
+
+    members = [s for tid in (1, 2, 3, 4) for s in expand_universe(tid)]
+    reps = [o.representative for o in partition_into_classes(members)]
+    walks = []
+    real = enumeration._compute_counts
+
+    def recording(sets, n_max):
+        walks.append(len(sets))
+        return real(sets, n_max)
+
+    monkeypatch.setattr(enumeration, "_compute_counts", recording)
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    together = [t.counts for t in count_tables(reps, 7, jobs=1)]
+    assert walks == [283]
+    for s, counts in zip(reps, together):
+        enumeration._TABLE_CACHE.clear()
+        assert count_table(s, 7).counts == counts
+
+
 def test_degenerate_sets_share_a_walk_with_ordinary_ones():
-    # every set here has patterns of one length only, so all five are one
-    # chunk; the empty pattern and the single point end their own branches
+    # one walk of all five sets; the empty pattern and the single point end
+    # their own branches
     batch = [parse_pattern_set(lit) for lit in ("1234", "123;132", "2143;3412")]
     batch[1:1] = [frozenset({()}), frozenset({(1,)})]
     _TABLE_CACHE.clear()
@@ -155,6 +211,10 @@ def test_degenerate_sets_share_a_walk_with_ordinary_ones():
     for s, counts in zip(batch, walked):
         assert counts == tuple(len(naive_avoiders(n, s)) for n in range(7))
     assert [t.counts for t in count_tables(batch, 6, jobs=1)] == walked
+    # the pool groups the sets by the q's of their longest patterns, the
+    # empty set too
+    _TABLE_CACHE.clear()
+    assert [t.counts for t in count_tables([frozenset(), *batch], 6, jobs=2)] == [(1, 1, 2, 6, 24, 120, 720), *walked]
 
 
 def test_jobs_below_one_rejected():
@@ -272,7 +332,7 @@ def test_negative_n_rejected():
 def test_dead_worker_raises(dying_worker):
     # a worker that dies must end the call with an error, not hang it, and
     # the memo must not gain a partial answer
-    # the last set is of a second group, so there are two chunks and a pool
+    # the longest patterns end in three q's, so there are three chunks and a pool
     sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="worker process died"):
@@ -283,8 +343,11 @@ def test_dead_worker_raises(dying_worker):
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # the pool forks all its workers at once, so their number must be capped
-    # by the number of 8-set chunks, and a single chunk needs none; the fake
-    # forks nothing
+    # by the number of chunks, and a single chunk needs none; the fake forks
+    # nothing.  A chunk holds up to 8 sets whose longest patterns end in the
+    # same q = standardize(p[:-1]): 123, 132 and 231 all end in q = 12, and
+    # the first 17 patterns of S4 fall into six q-groups of 4, 4, 4, 3, 1 and
+    # 1, so six chunks
     sizes = []
 
     def recording_pool(chunks, n_max, workers):
@@ -293,12 +356,12 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_pool", recording_pool)
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
-    assert count_tables([{p} for p in S3[:3]], 5, jobs=64)[0].counts[5] == 42
+    assert count_tables([{(1, 2, 3)}, {(1, 3, 2)}, {(2, 3, 1)}], 5, jobs=64)[0].counts[5] == 42
     assert sizes == []
     assert len(count_tables([{p} for p in S4[:17]], 5, jobs=64)) == 17
     enumeration._TABLE_CACHE.clear()
     count_tables([{p} for p in S4[:17]], 5, jobs=2)
-    assert sizes == [3, 2]
+    assert sizes == [6, 2]
 
 
 def _no_child_left():
