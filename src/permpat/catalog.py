@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .enumeration import CountTable, _walk, count_table, count_tables, enumerate_avoiders
+from .enumeration import CountTable, avoiders_by_length, count_table, count_tables, enumerate_avoiders
 from .formulas import (
     BinomialPoly,
     Catalan,
@@ -346,14 +346,16 @@ def expand_universe(table_id: int) -> list[PatternSet]:
 
 def table_of(s: PatternSet) -> Optional[int]:
     """Which table universe a set belongs to, if any.  A member that is not a
-    permutation raises ValueError: it is looked up in S_3 and S_4 if the set
-    has the universes' shape, and checked by ``pattern_set`` otherwise."""
+    permutation raises ValueError: if the set has the universes' shape, its
+    members are looked up in S_3 and S_4 and their entries must be ints (True
+    == 1 and 2.0 == 2 pass the lookups); otherwise ``pattern_set`` checks it."""
     return _table_of(_split(s))
 
 
 def _table_of(x: _Parts) -> Optional[int]:
     if x.tau in _S4 and x.threes and x.threes <= _S3 and len(x.threes) + 1 == len(x.s):
-        return min(len(x.threes), 4)
+        if {type(v) for p in x.s for v in p} == {int}:
+            return min(len(x.threes), 4)
     pattern_set(x.s)
     return None
 
@@ -576,7 +578,7 @@ def _check_pair(
     # a listed family must also equal the oracle's avoider set, not just its
     # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
-    avoiders = _walk(n_max, [s], collect=True)[1] if family else None
+    avoiders = avoiders_by_length(n_max, s) if family else None
     mismatch_ns = tuple(
         n for n in range(entry.valid_from, n_max + 1)
         if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
@@ -594,8 +596,8 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     Every set gets its row from ``assign_entries``.  The four universes are
     partitioned once into reverse/inverse orbits (283 for the 1,512 sets) only
     to share counts: the oracle counts one representative per orbit, all of
-    them in one walk, or with ``jobs`` above 1 in chunks of up to 8 whose
-    length-4 patterns end in the same q, spread over ``jobs`` worker processes
+    them in one walk, or with ``jobs`` above 1 in one walk per group of them
+    whose length-4 patterns end in the same q, spread over ``jobs`` workers
     (None or 1 for none; below 1 raises ValueError), and each member gets its
     representative's count table (avoider counts are invariant on an orbit;
     Simion-Schmidt).

@@ -264,23 +264,26 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
     return tallies, out
 
 
+def avoiders_by_length(n: int, t: Iterable[Sequence[int]]) -> list[list[Perm]]:
+    """Entry m lists the members of S_m avoiding every pattern in t, in walk
+    order, for every m = 0..n, from one collecting walk.  Raises ValueError if
+    n is negative or a member of t is not a permutation."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _walk(n, [pattern_set(t)], collect=True)[1]
+
+
 def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
     """All members of S_n avoiding every pattern in t, in lexicographic order.
 
-    Raises ValueError if a member of t is not a permutation.
+    Raises ValueError if n is negative or a member of t is not a permutation.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sorted(_walk(n, [pattern_set(t)], collect=True)[1][n])
+    return sorted(avoiders_by_length(n, t)[n])
 
 
 # count tables are memoized per pattern set at the largest n seen so far;
 # _fill is the only function that writes here
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
-
-# sets in one pool chunk, a worker's unit of work: few enough that the chunks
-# balance the workers; a count in this process walks every set at once
-_CHUNK = 8
 
 
 class WorkerError(RuntimeError):
@@ -379,13 +382,13 @@ def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
         return
     chunks = [todo]
     if (jobs or 1) > 1 and hasattr(os, "fork"):
-        # a pool chunk holds sets whose longest patterns end in the same q's,
-        # so its walk still scans each node once per q for all of them
+        # a pool chunk is one whole group of the sets whose longest patterns end
+        # in the same q's, so its walk scans each node once per q, as one walk does
         groups: dict[frozenset[Perm], list[PatternSet]] = {}
         for t in todo:
             longest = max(map(len, t), default=0)
             groups.setdefault(frozenset(standardize(p[:-1]) for p in t if len(p) == longest), []).append(t)
-        chunks = [g[i : i + _CHUNK] for g in groups.values() for i in range(0, len(g), _CHUNK)]
+        chunks = list(groups.values())
     # no more workers than chunks, and none for a single chunk, which is then
     # every set: this process counts them in one walk
     workers = min(jobs or 1, len(chunks))
@@ -416,11 +419,11 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
 
     None, 1 or a system without ``os.fork`` counts every set in one walk in
     this process.  Otherwise the sets are grouped by the q's that their
-    longest patterns end in (see the module docstring), each chunk of up to 8
-    sets of a group is counted by one walk, and ``jobs`` forked worker
-    processes, at most one per chunk, share the chunks; a single chunk is one
-    walk in this process.  Results come back in input order regardless of the
-    worker count, and share the memo of ``count_table``.
+    longest patterns end in (see the module docstring), each group is one
+    chunk counted by one walk, and ``jobs`` forked worker processes, at most
+    one per chunk, share the chunks; a single chunk is one walk in this
+    process.  Results come back in input order regardless of the worker
+    count, and share the memo of ``count_table``.
     Raises ValueError if ``jobs`` is below 1.  If a worker exits, raises or is
     killed before returning its tables, the call raises ``WorkerError``, a
     ``RuntimeError``, stores nothing and leaves no child process behind.

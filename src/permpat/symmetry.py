@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .perms import Perm, PatternSet, format_pattern_set, pattern_set, pattern_set_key
+from .perms import Perm, PatternSet, check_permutation, format_pattern_set, pattern_set, pattern_set_key
 
 
 def reverse(p: Perm) -> Perm:
@@ -40,16 +40,9 @@ def inverse(p: Perm) -> Perm:
     >>> inverse((1, 2, 3))
     (1, 2, 3)
     """
-    n = len(p)
-    inv = [0] * n
-    for j, v in enumerate(p):
-        if not 0 < v <= n:
-            break
-        inv[v - 1] = j + 1
-    # a value out of range stops the fill early and a repeated one leaves a
-    # slot unfilled, so either way a slot is still 0
-    if 0 in inv:
-        raise ValueError(f"not a permutation of 1..{n}: {tuple(p)!r}")
+    inv = [0] * len(p)
+    for j, v in enumerate(check_permutation(p), 1):
+        inv[v - 1] = j
     return tuple(inv)
 
 

@@ -117,6 +117,18 @@ MUTANTS = [
      "if x.tau in _S4 and x.threes and x.threes <= _S3 and len(x.threes) + 1 == len(x.s):",
      "if x.tau is not None and x.threes and len(x.threes) + 1 == len(x.s):",
      "a non-permutation member of a universe-shaped set must raise, not get a table"),
+    ("table-of-type-unchecked", CATALOG,
+     "if {type(v) for p in x.s for v in p} == {int}:",
+     "if True:",
+     "True == 1 and 2.0 == 2 pass the lookups in S_3 and S_4, so a set holding them must raise"),
+    ("inverse-unchecked", "src/permpat/symmetry.py",
+     "enumerate(check_permutation(p), 1)",
+     "enumerate(p, 1)",
+     "inverse((True, 2, 3)) must raise, not return (1, 2, 3)"),
+    ("pool-chunks-sliced", ENUMERATION,
+     "chunks = list(groups.values())",
+     "chunks = [g[i : i + 8] for g in groups.values() for i in range(0, len(g), 8)]",
+     "a pool chunk is a whole q-group, so the chunks scan each node once per q as one walk does"),
     ("classify-set-as-representative", "src/permpat/cli.py",
      "format_pattern_set(orbit(table.pattern_set).representative)",
      "format_pattern_set(table.pattern_set)",

@@ -15,10 +15,26 @@ from permpat.catalog import (
     table_of,
     verify,
 )
-from permpat.enumeration import _TABLE_CACHE, count_table
+from permpat.enumeration import (
+    _TABLE_CACHE,
+    avoiders_by_length,
+    count_avoiders,
+    count_table,
+    count_tables,
+    enumerate_avoiders,
+)
 from permpat.formulas import evaluate, render
-from permpat.perms import all_permutations, contains, format_pattern_set, parse_pattern_set, pattern_set_key
-from permpat.symmetry import orbit, partition_into_classes
+from permpat.lifting import lift, lift_power, pattern_words
+from permpat.perms import (
+    all_permutations,
+    check_permutation,
+    contains,
+    format_pattern_set,
+    parse_pattern_set,
+    pattern_set,
+    pattern_set_key,
+)
+from permpat.symmetry import apply_op, apply_set, inverse, orbit, partition_into_classes
 
 from conftest import naive_avoiders
 
@@ -60,6 +76,39 @@ def test_malformed_sets_raise(literal):
         assign_entries([s])
     with pytest.raises(ValueError, match="not a permutation"):
         classify(s, 3)
+
+
+# the public calls that take permutations and promise ValueError for a
+# non-permutation, or validate through one that does, each fed one length-3
+# pattern p; the catalog calls get {132, p + (4,)}, of the first universe's shape
+_PERMUTATION_CALLS = {
+    "check_permutation": check_permutation,
+    "pattern_set": lambda p: pattern_set([p]),
+    "inverse": inverse,
+    "apply_op": lambda p: apply_op("ri", p),
+    "apply_set": lambda p: apply_set("i", [p]),
+    "orbit": lambda p: orbit([p]),
+    "pattern_words": lambda p: pattern_words(p, 4),
+    "lift": lambda p: lift([p]),
+    "lift_power": lambda p: lift_power([p], 1),
+    "avoiders_by_length": lambda p: avoiders_by_length(4, [p]),
+    "enumerate_avoiders": lambda p: enumerate_avoiders(4, [p]),
+    "count_avoiders": lambda p: count_avoiders(4, [p]),
+    "count_table": lambda p: count_table([p], 4),
+    "count_tables": lambda p: count_tables([[p]], 4, jobs=2),
+    "table_of": lambda p: table_of(frozenset({(1, 3, 2), p + (4,)})),
+    "assign_entries": lambda p: assign_entries([frozenset({(1, 3, 2), p + (4,)})]),
+    "classify": lambda p: classify(frozenset({(1, 3, 2), p + (4,)}), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PERMUTATION_CALLS))
+@pytest.mark.parametrize("p", [(True, 2, 3), (1, 2.0, 3)], ids=["True", "2.0"])
+def test_entries_that_only_equal_ints_raise(name, p):
+    # True == 1 and 2.0 == 2, and both hash as the ints, so a lookup in S_3
+    # or S_4 alone takes them for entries of a permutation
+    with pytest.raises(ValueError, match="not a permutation"):
+        _PERMUTATION_CALLS[name](p)
 
 
 def test_assignment_examples():
@@ -212,16 +261,17 @@ def test_explicit_families_build_pinned_sets():
 
 
 def test_verify_walks_once_per_explicit_family(monkeypatch):
-    # each family set is checked at every n from one collecting walk at n_max;
-    # the findings enumerate through enumerate_avoiders and are not counted
-    real, walks = catalog._walk, []
+    # each family set is checked at every n from one collecting walk at n_max,
+    # made by avoiders_by_length; the findings enumerate below n = 7 through
+    # enumerate_avoiders, which walks there too, and are not counted
+    real, walks = enumeration._walk, []
 
     def walk(n, sets, collect):
-        if collect:
+        if collect and n == 7:
             walks.append((n, *sets))
         return real(n, sets, collect)
 
-    monkeypatch.setattr(catalog, "_walk", walk)
+    monkeypatch.setattr(enumeration, "_walk", walk)
     verify(7)
     assert len(walks) == 15
     assert set(walks) == {(7, s) for s in EXPLICIT_FAMILIES}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from permpat import enumeration
 from permpat.enumeration import (
     _TABLE_CACHE,
+    avoiders_by_length,
     count_avoiders,
     count_table,
     count_tables,
@@ -103,12 +104,14 @@ def test_random_sets_match_naive(t):
 @settings(deadline=None, max_examples=60)
 @given(PATTERN_SETS, st.integers(0, 6))
 def test_collecting_walk_lists_every_length(t, n):
-    # one walk to depth n lists the avoiders of every shorter length too
-    tallies, avoiders = enumeration._walk(n, [t], collect=True)
+    # one walk to depth n lists the avoiders of every shorter length too, as
+    # many at each length as the count walk tallies there
+    avoiders = avoiders_by_length(n, t)
     assert len(avoiders) == n + 1
+    counts = count_table(t, n).counts
     for m in range(n + 1):
         assert sorted(avoiders[m]) == naive_avoiders(m, t)
-        assert tallies[0][m] == len(avoiders[m])
+        assert counts[m] == len(avoiders[m])
 
 
 @settings(deadline=None, max_examples=10)
@@ -344,10 +347,10 @@ def test_dead_worker_raises(dying_worker):
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # the pool forks all its workers at once, so their number must be capped
     # by the number of chunks, and a single chunk needs none; the fake forks
-    # nothing.  A chunk holds up to 8 sets whose longest patterns end in the
-    # same q = standardize(p[:-1]): 123, 132 and 231 all end in q = 12, and
-    # the first 17 patterns of S4 fall into six q-groups of 4, 4, 4, 3, 1 and
-    # 1, so six chunks
+    # nothing.  A chunk is the whole group of the sets whose longest patterns
+    # end in the same q = standardize(p[:-1]): 123, 132 and 231 all end in
+    # q = 12, and the first 17 patterns of S4 fall into six q-groups of 4, 4,
+    # 4, 3, 1 and 1, so six chunks
     sizes = []
 
     def recording_pool(chunks, n_max, workers):
@@ -362,6 +365,35 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     enumeration._TABLE_CACHE.clear()
     count_tables([{p} for p in S4[:17]], 5, jobs=2)
     assert sizes == [6, 2]
+
+
+def test_pool_chunks_scan_as_often_as_one_walk(monkeypatch):
+    # a chunk is a whole q-group, so walking the chunks one by one scans each
+    # node once per q, exactly as the one walk of all 283 representatives does
+    from permpat.catalog import expand_universe
+    from permpat.symmetry import partition_into_classes
+
+    reps = [o.representative for o in partition_into_classes(s for tid in (1, 2, 3, 4) for s in expand_universe(tid))]
+    real_scan, scans, pooled = enumeration._scan, [], []
+
+    def counting_scan(child, plan, slot, start):
+        scans[-1] += 1
+        return real_scan(child, plan, slot, start)
+
+    def in_process_pool(chunks, n_max, workers):
+        pooled.append(len(chunks))
+        return [enumeration._compute_counts(chunk, n_max) for chunk in chunks]
+
+    monkeypatch.setattr(enumeration, "_scan", counting_scan)
+    monkeypatch.setattr(enumeration, "_pool", in_process_pool)
+    tables = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+        scans.append(0)
+        tables.append([t.counts for t in count_tables(reps, 7, jobs=jobs)])
+    assert pooled == [6]
+    assert scans[0] > 0 and scans[1] == scans[0]
+    assert tables[1] == tables[0]
 
 
 def _no_child_left():
@@ -391,11 +423,11 @@ def test_failed_worker_raises_and_leaves_no_child(dying_worker):
 
 
 def test_pool_streams_more_chunks_and_results_than_a_pipe_holds(monkeypatch):
-    # 17,000 one-set chunks: their indices (4 bytes each) and their records
-    # both exceed the 64 KiB a Linux pipe holds, so a pool that wrote all the
-    # indices before reading any result would block for good
-    sets = [{p} for p in itertools.islice(itertools.chain(all_permutations(7), all_permutations(8)), 17000)]
-    monkeypatch.setattr(enumeration, "_CHUNK", 1)
+    # 17,000 one-set chunks, one per q of S8, as each set {q + (9,)} ends its
+    # only pattern in its own q: their indices (4 bytes each) and their
+    # records both exceed the 64 KiB a Linux pipe holds, so a pool that wrote
+    # all the indices before reading any result would block for good
+    sets = [{q + (9,)} for q in itertools.islice(all_permutations(8), 17000)]
 
     def expire(signum, frame):
         pytest.fail("the pool was still blocked after 60 s")
