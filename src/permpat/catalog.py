@@ -596,9 +596,9 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     Every set gets its row from ``assign_entries``.  The four universes are
     partitioned once into reverse/inverse orbits (283 for the 1,512 sets) only
     to share counts: the oracle counts one representative per orbit, all of
-    them in one walk, or with ``jobs`` above 1 in one walk per group of them
-    whose length-4 patterns end in the same q, spread over ``jobs`` workers
-    (None or 1 for none; below 1 raises ValueError), and each member gets its
+    them in one walk, whose subtrees below depth 5 are spread over ``jobs``
+    forked workers when ``jobs`` is above 1 (None or 1 for none; a ``jobs``
+    that is not an int of at least 1 raises ValueError), and each member gets its
     representative's count table (avoider counts are invariant on an orbit;
     Simion-Schmidt).
     ``count_table`` and ``classify`` always search the set they are given.  The

@@ -41,20 +41,26 @@ each set ORs in the slices of its own ranks.  In the tables every set's
 longest pattern has length 4, so its q is one of the six members of S_3.  A
 walk of one set counts at n_max in a single pass: its number of nodes at
 depth m is |S_m(T)|, so the tally is the whole table.
+
+A counting walk can be split across forked worker processes, by subtree and
+not by set.  The walk stops at depth _SPLIT and keeps each node there, with
+its active sets and masks, as the frontier; the workers inherit it, walk the
+subtrees of the frontier nodes they take from one shared pipe, and send back
+their per-set tallies, which are added to the walk's own for the depths
+above the split.  Integer sums do not depend on the schedule, so the tables
+cannot depend on the number of workers, and the split walk scans each node
+as often as the one walk does.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import marshal
 import os
-import select
 import signal
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .perms import Perm, PatternSet, pattern_set, standardize
 
@@ -166,11 +172,18 @@ def _fold(child: list[int], plans: list[tuple], full: int) -> int:
     return nf
 
 
-def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
+# the depth of the frontier that a pooled count walk hands to its workers;
+# its nodes are distinct permutations of length 5, so there are at most 120
+_SPLIT = 5
+
+
+def _walk(n: int, sets: Sequence[PatternSet], collect: bool, jobs: int = 1):
     """One generating-tree walk for every set in ``sets``.
 
     Returns (count per length for each set, avoiders or None); avoiders[m]
-    lists, in walk order, the permutations of length m that avoid a set.
+    lists, in walk order, the permutations of length m that avoid a set.  A
+    counting walk with ``jobs`` above 1 walks the subtrees below depth
+    ``_SPLIT`` in up to ``jobs`` forked workers (see the module docstring).
     """
     tallies = [[0] * (n + 1) for _ in sets]
     out: Optional[list[list[Perm]]] = [[] for _ in range(n + 1)] if collect else None
@@ -206,7 +219,14 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
         # a length-1 pattern forbids the root's only gap
         roots.append((spec, int((1,) in patterns)))
 
+    # a walk that forks stops at the split and keeps the nodes there
+    split = _SPLIT if jobs > 1 and not collect and hasattr(os, "fork") else -1
+    frontier: list[tuple] = []
+
     def rec(pre: list[int], depth: int, active: list) -> None:
+        if depth == split:
+            frontier.append((pre, depth, active))
+            return
         top = (1 << (depth + 1)) - 1
         common = top
         for spec, forb in active:
@@ -261,6 +281,14 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool):
 
     if roots:
         rec([], 0, roots)
+    # below the frontier the walk goes to the leaves, in the workers too
+    split = -1
+    workers = min(jobs, len(frontier))
+    if workers > 1:
+        _pool(frontier, rec, tallies, workers)
+    else:
+        for node in frontier:
+            rec(*node)
     return tallies, out
 
 
@@ -290,111 +318,79 @@ class WorkerError(RuntimeError):
     """A worker process of ``count_tables`` ended before returning its tables."""
 
 
-def _compute_counts(sets: Sequence[PatternSet], n_max: int) -> list[tuple[int, ...]]:
-    return [tuple(tally) for tally in _walk(n_max, sets, collect=False)[0]]
+def _compute_counts(sets: Sequence[PatternSet], n_max: int, jobs: int) -> list[tuple[int, ...]]:
+    return [tuple(tally) for tally in _walk(n_max, sets, False, jobs)[0]]
 
 
-def _serve(chunks: list[list[PatternSet]], n_max: int, task_r: int, task_w: int, out: int) -> NoReturn:
-    # a forked worker: count each chunk whose index it reads from the task
-    # pipe, until EOF, and send back (index, tables); _compute_counts is looked
-    # up at call time, so a replacement installed before the fork applies here
-    code = 1
-    try:
-        os.close(task_w)
-        with open(out, "wb") as sink:
-            while index := os.read(task_r, 4):
-                i = int.from_bytes(index, "little")
-                marshal.dump((i, _compute_counts(chunks[i], n_max)), sink)
-                sink.flush()
-        code = 0
-    finally:
-        os._exit(code)
+def _serve(frontier: list[tuple], rec: Callable, tallies: list[list[int]], tasks: int, out: int) -> None:
+    # a forked worker: walk the subtree of each frontier index read from the
+    # task pipe, until EOF, then send back the tallies of those subtrees alone
+    for tally in tallies:
+        tally[:] = [0] * len(tally)
+    while index := os.read(tasks, 1):
+        rec(*frontier[index[0]])
+    with open(out, "wb") as sink:
+        marshal.dump(tallies, sink)
 
 
-def _pool(chunks: list[list[PatternSet]], n_max: int, workers: int) -> list[list[tuple[int, ...]]]:
-    """The tables of each chunk, counted by ``workers`` forked children, which
-    take chunk indices from one shared pipe and send records back on pipes of
-    their own.  Indices are written only while the task pipe has room and every
-    result pipe is read as data arrives, so no process waits for good on a full
-    pipe.  Every child is reaped before this returns or raises WorkerError."""
-    tasks = memoryview(b"".join(i.to_bytes(4, "little") for i in range(len(chunks))))
-    task_r, task_w = os.pipe()
-    os.set_blocking(task_w, False)
-    poller = select.poll()
-    poller.register(task_w, select.POLLOUT)
-    received: dict[int, bytearray] = {}  # result pipe -> its bytes, in fork order
-    live: dict[int, int] = {}  # result pipe -> the child writing it, until EOF
+def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], workers: int) -> None:
+    """Walk the subtrees of the frontier nodes in ``workers`` forked children,
+    which take node indices from one shared pipe and send their tallies back
+    on pipes of their own, and add those tallies to ``tallies``.  Every index
+    is in the task pipe, and its write end closed, before the first fork, so
+    no child waits on anything and the result pipes can be read to EOF one
+    after another.  Every child is reaped before this returns or raises
+    WorkerError; _serve is looked up at call time, so a replacement installed
+    before the fork applies in the children."""
+    # one byte per index, at most 120 of them: one write, well below PIPE_BUF
+    tasks, w = os.pipe()
+    os.write(w, bytes(range(len(frontier))))
+    os.close(w)
     pids: list[int] = []
+    sources: list = []
+    results: list[bytes] = []
     try:
         for _ in range(workers):
             r, w = os.pipe()
-            received[r] = bytearray()
+            sources.append(open(r, "rb"))
             pid = os.fork()
             if pid == 0:
-                _serve(chunks, n_max, task_r, task_w, w)
+                code = 1
+                try:
+                    _serve(frontier, rec, tallies, tasks, w)
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(w)
             pids.append(pid)
-            live[r] = pid
-            poller.register(r, select.POLLIN)
-        while live:
-            for fd, _ in poller.poll():
-                if fd == task_w:
-                    # PIPE_BUF bytes at most, whole indices, so a write is whole or refused
-                    with contextlib.suppress(BlockingIOError):
-                        tasks = tasks[os.write(task_w, tasks[: select.PIPE_BUF]) :]
-                    if not tasks:  # the children read to EOF
-                        poller.unregister(task_w)
-                        os.close(task_w)
-                        task_w = -1
-                elif block := os.read(fd, 1 << 16):
-                    received[fd] += block
-                else:
-                    poller.unregister(fd)
-                    del live[fd]
+        for source in sources:
+            results.append(source.read())
     finally:
-        for fd in (task_r, task_w, *received):
-            if fd >= 0:
-                os.close(fd)
+        os.close(tasks)
+        for source in sources:
+            source.close()
         # only an interrupted gather leaves a child running
-        for pid in live.values():
+        for pid in pids[len(results) :]:
             os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    results: list = [None] * len(chunks)
-    for data, code in zip(received.values(), codes):
-        # only a child that exited cleanly has flushed whole records
-        stream = io.BytesIO(data)
-        while code == 0 and stream.tell() < len(data):
-            i, tables = marshal.load(stream)
-            results[i] = tables
-    if None in results:
-        raise WorkerError(f"a count worker process died: {results.count(None)} chunks lack tables, exit codes {codes}")
-    return results
+    # only a child that exited cleanly has sent all its tallies
+    if any(codes):
+        raise WorkerError(f"a count worker process died: exit codes {codes}")
+    for data in results:
+        for tally, part in zip(tallies, marshal.loads(data)):
+            tally[:] = [a + b for a, b in zip(tally, part)]
 
 
 def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
     """Make ``_TABLE_CACHE`` hold every set's table to at least ``n_max``."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    # type(True) is bool, so True and 2.0 raise here rather than count
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError("jobs must be an int of at least 1")
     todo = [t for t in dict.fromkeys(sets) if len(_TABLE_CACHE.get(t, ())) <= n_max]
-    if not todo:
-        return
-    chunks = [todo]
-    if (jobs or 1) > 1 and hasattr(os, "fork"):
-        # a pool chunk is one whole group of the sets whose longest patterns end
-        # in the same q's, so its walk scans each node once per q, as one walk does
-        groups: dict[frozenset[Perm], list[PatternSet]] = {}
-        for t in todo:
-            longest = max(map(len, t), default=0)
-            groups.setdefault(frozenset(standardize(p[:-1]) for p in t if len(p) == longest), []).append(t)
-        chunks = list(groups.values())
-    # no more workers than chunks, and none for a single chunk, which is then
-    # every set: this process counts them in one walk
-    workers = min(jobs or 1, len(chunks))
-    results = _pool(chunks, n_max, workers) if workers > 1 else [_compute_counts(todo, n_max)]
-    for chunk, tables in zip(chunks, results):
-        _TABLE_CACHE.update(zip(chunk, tables))
+    if todo:
+        _TABLE_CACHE.update(zip(todo, _compute_counts(todo, n_max, jobs or 1)))
 
 
 def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
@@ -417,14 +413,14 @@ def count_avoiders(n: int, t: Iterable[Sequence[int]]) -> int:
 def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Optional[int] = None) -> list[CountTable]:
     """Count tables for many pattern sets, optionally across worker processes.
 
-    None, 1 or a system without ``os.fork`` counts every set in one walk in
-    this process.  Otherwise the sets are grouped by the q's that their
-    longest patterns end in (see the module docstring), each group is one
-    chunk counted by one walk, and ``jobs`` forked worker processes, at most
-    one per chunk, share the chunks; a single chunk is one walk in this
-    process.  Results come back in input order regardless of the worker
+    Every set is counted in one walk.  With ``jobs`` above 1 and ``os.fork``
+    that walk stops at depth 5 (see the module docstring), and up to ``jobs``
+    forked worker processes, at most one per node there, walk the subtrees
+    below; when ``n_max`` is below 7 or only one node is there, no worker is
+    forked.  Results come back in input order regardless of the worker
     count, and share the memo of ``count_table``.
-    Raises ValueError if ``jobs`` is below 1.  If a worker exits, raises or is
+    Raises ValueError if ``jobs`` is not an int of at least 1 (None means 1).
+    If a worker exits, raises or is
     killed before returning its tables, the call raises ``WorkerError``, a
     ``RuntimeError``, stores nothing and leaves no child process behind.
     """

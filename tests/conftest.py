@@ -48,32 +48,29 @@ def naive_avoiders(n, patterns):
 
 @pytest.fixture
 def dying_worker(monkeypatch, request):
-    """Forked count workers exit at once on any chunk holding a set with 123.
+    """Forked count workers exit at once, before walking any subtree.
 
-    With the indirect parameter "raise" they raise instead of exiting.  The
-    test process itself still counts such sets.  The memo starts empty, so
-    every set is searched, and is the value of the fixture.  The test fails
-    after 20 s instead of hanging if the caller never notices the dead worker.
+    With the indirect parameter "raise" they raise instead of exiting.  Only
+    the forked children run the replaced worker body, so the test process
+    itself still counts.  The memo starts empty, so every set is searched,
+    and is the value of the fixture.  The test fails after 20 s instead of
+    hanging if the caller never notices the dead worker.
     """
     if not hasattr(os, "fork"):
         pytest.skip("the replacement reaches the workers only when they are forked")
-    parent = os.getpid()
-    real = enumeration._compute_counts
     raises = getattr(request, "param", "exit") == "raise"
 
-    def compute(sets, n_max):
-        if any((1, 2, 3) in patterns for patterns in sets) and os.getpid() != parent:
-            if raises:
-                raise RuntimeError("a count worker raised")
-            os._exit(9)
-        return real(sets, n_max)
+    def serve(*args):
+        if raises:
+            raise RuntimeError("a count worker raised")
+        os._exit(9)
 
     def expire(signum, frame):
         pytest.fail("still blocked 20 s after a worker died")
 
     cache = {}
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", cache)
-    monkeypatch.setattr(enumeration, "_compute_counts", compute)
+    monkeypatch.setattr(enumeration, "_serve", serve)
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(20)
     yield cache

@@ -77,10 +77,18 @@ MUTANTS = [
      "_plan(q, union[q], n)]",
      "_plan(q, union[q], n - 1)]",
      "a folded child has up to n gaps, so slices n - 1 bits apart run into each other"),
-    ("missing-result-unchecked", ENUMERATION,
-     "    if None in results:\n",
+    ("worker-exit-code-unchecked", ENUMERATION,
+     "    if any(codes):\n",
      "    if False:\n",
-     "a chunk that a dead worker left without tables must raise WorkerError"),
+     "a worker that died sent no tallies, and the call must raise WorkerError"),
+    ("worker-keeps-inherited-tallies", ENUMERATION,
+     "        tally[:] = [0] * len(tally)\n",
+     "        tally[:] = tally\n",
+     "the tallies above the split are the parent's, so a worker that sends them back counts them twice"),
+    ("split-active-in-workers", ENUMERATION,
+     "    split = -1\n",
+     "    split = split\n",
+     "below the frontier the walk must go to the leaves, or no node deeper than the split is counted"),
     ("inflate-run-too-long", "src/permpat/formulas.py",
      "range(v + shift, v - 1, -1) if descending",
      "range(v + shift + 1, v - 1, -1) if descending",
@@ -125,10 +133,6 @@ MUTANTS = [
      "enumerate(check_permutation(p), 1)",
      "enumerate(p, 1)",
      "inverse((True, 2, 3)) must raise, not return (1, 2, 3)"),
-    ("pool-chunks-sliced", ENUMERATION,
-     "chunks = list(groups.values())",
-     "chunks = [g[i : i + 8] for g in groups.values() for i in range(0, len(g), 8)]",
-     "a pool chunk is a whole q-group, so the chunks scan each node once per q as one walk does"),
     ("classify-set-as-representative", "src/permpat/cli.py",
      "format_pattern_set(orbit(table.pattern_set).representative)",
      "format_pattern_set(table.pattern_set)",

@@ -266,10 +266,10 @@ def test_verify_walks_once_per_explicit_family(monkeypatch):
     # enumerate_avoiders, which walks there too, and are not counted
     real, walks = enumeration._walk, []
 
-    def walk(n, sets, collect):
+    def walk(n, sets, collect, jobs=1):
         if collect and n == 7:
             walks.append((n, *sets))
-        return real(n, sets, collect)
+        return real(n, sets, collect, jobs)
 
     monkeypatch.setattr(enumeration, "_walk", walk)
     verify(7)
@@ -321,9 +321,9 @@ def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):
     searched = []
     compute = enumeration._compute_counts
 
-    def spy(sets, n_max):
+    def spy(sets, n_max, jobs):
         searched.extend(sets)
-        return compute(sets, n_max)
+        return compute(sets, n_max, jobs)
 
     findings_start = []
     build_findings = catalog._build_findings
@@ -388,6 +388,21 @@ def test_verify_rejects_jobs_below_one():
         verify(0)
 
 
+_JOBS_CALLS = {
+    "count_tables": lambda jobs: count_tables([{(1, 2, 3)}], 5, jobs=jobs),
+    "verify": lambda jobs: verify(5, jobs=jobs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JOBS_CALLS))
+@pytest.mark.parametrize("jobs", [True, 2.0, 1.5], ids=["True", "2.0", "1.5"])
+def test_jobs_that_are_not_ints_rejected(name, jobs):
+    # True == 1 and 2.0 == 2, but neither is a number of workers: verify must
+    # not write "jobs": true into its report
+    with pytest.raises(ValueError, match="jobs"):
+        _JOBS_CALLS[name](jobs)
+
+
 def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, capsys):
     # one wrong oracle value on one orbit must surface everywhere the report
     # shows a mismatch: the open findings, the row audit, the CSV grid and the
@@ -397,8 +412,8 @@ def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, 
     target = orbit(parse_pattern_set("123;132;3214")).representative
     compute = enumeration._compute_counts
 
-    def off_by_one(sets, n_max):
-        tables = compute(sets, n_max)
+    def off_by_one(sets, n_max, jobs):
+        tables = compute(sets, n_max, jobs)
         if target in sets and n_max >= 5:
             i = sets.index(target)
             tables[i] = tables[i][:5] + (tables[i][5] + 1,) + tables[i][6:]

@@ -191,7 +191,7 @@ def test_verify_unwritable_out_exits_one(tmp_path, capsys):
 
 def test_verify_dead_worker_exits_one(dying_worker, capsys):
     # a failed run is one error line and exit code 1, with no traceback
-    code, out, err = run(capsys, "verify", "--nmax", "5", "--jobs", "2")
+    code, out, err = run(capsys, "verify", "--nmax", "7", "--jobs", "2")
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("permpat: error: ")

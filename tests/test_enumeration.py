@@ -1,4 +1,5 @@
 import itertools
+import marshal
 import os
 import random
 import signal
@@ -117,13 +118,13 @@ def test_collecting_walk_lists_every_length(t, n):
 @settings(deadline=None, max_examples=10)
 @given(st.lists(PATTERN_SETS, min_size=1, max_size=4))
 def test_count_tables_pool_matches_serial_from_cold_cache(sets):
-    # the longest patterns of {123} and {21, 1234} end in different q's, so
-    # there are at least two chunks and jobs=2 starts a pool
+    # {123} has 42 avoiders of length 5, so the walk to n = 7 leaves a
+    # frontier of at least 42 nodes at depth 5 and jobs=2 starts a pool
     sets = sets + [{(1, 2, 3)}, {(2, 1), (1, 2, 3, 4)}]
     _TABLE_CACHE.clear()
-    pooled = count_tables(sets, 6, jobs=2)
+    pooled = count_tables(sets, 7, jobs=2)
     _TABLE_CACHE.clear()
-    serial = count_tables(sets, 6, jobs=1)
+    serial = count_tables(sets, 7, jobs=1)
     assert [ct.counts for ct in pooled] == [ct.counts for ct in serial]
 
 
@@ -172,26 +173,36 @@ def shared_q_batches(draw):
 @settings(deadline=None, max_examples=25)
 @given(shared_q_batches(), st.integers(3, 6))
 def test_shared_scan_walk_matches_naive(batch, n):
+    # the pool forks only for n >= 7, beyond the naive oracle's reach, so its
+    # tables at n = 7 must equal the serial ones and hold the naive count at n
     expected = [len(naive_avoiders(n, s)) for s in batch]
+    _TABLE_CACHE.clear()
+    assert [t.counts[n] for t in count_tables(batch, n, jobs=1)] == expected
+    tables = []
     for jobs in (1, 2):
         _TABLE_CACHE.clear()
-        assert [t.counts[n] for t in count_tables(batch, n, jobs=jobs)] == expected
+        tables.append([t.counts for t in count_tables(batch, 7, jobs=jobs)])
+    assert tables[1] == tables[0]
+    assert [counts[n] for counts in tables[1]] == expected
+
+
+def _representatives():
+    from permpat.catalog import expand_universe
+    from permpat.symmetry import partition_into_classes
+
+    return [o.representative for o in partition_into_classes(s for tid in (1, 2, 3, 4) for s in expand_universe(tid))]
 
 
 def test_one_walk_of_the_representatives_matches_their_own_walks(monkeypatch):
     # verify counts its 283 orbit representatives in one walk when serial;
     # each set's table from that walk equals the table of a walk of it alone
-    from permpat.catalog import expand_universe
-    from permpat.symmetry import partition_into_classes
-
-    members = [s for tid in (1, 2, 3, 4) for s in expand_universe(tid)]
-    reps = [o.representative for o in partition_into_classes(members)]
+    reps = _representatives()
     walks = []
     real = enumeration._compute_counts
 
-    def recording(sets, n_max):
+    def recording(sets, n_max, jobs):
         walks.append(len(sets))
-        return real(sets, n_max)
+        return real(sets, n_max, jobs)
 
     monkeypatch.setattr(enumeration, "_compute_counts", recording)
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
@@ -208,16 +219,17 @@ def test_degenerate_sets_share_a_walk_with_ordinary_ones():
     batch = [parse_pattern_set(lit) for lit in ("1234", "123;132", "2143;3412")]
     batch[1:1] = [frozenset({()}), frozenset({(1,)})]
     _TABLE_CACHE.clear()
-    walked = enumeration._compute_counts(batch, 6)
+    walked = enumeration._compute_counts(batch, 6, 1)
     assert walked[1] == (0,) * 7
     assert walked[2] == (1,) + (0,) * 6
     for s, counts in zip(batch, walked):
         assert counts == tuple(len(naive_avoiders(n, s)) for n in range(7))
     assert [t.counts for t in count_tables(batch, 6, jobs=1)] == walked
-    # the pool groups the sets by the q's of their longest patterns, the
-    # empty set too
+    # the frontier nodes carry only the sets still active there, and the
+    # empty pattern set is active everywhere
     _TABLE_CACHE.clear()
-    assert [t.counts for t in count_tables([frozenset(), *batch], 6, jobs=2)] == [(1, 1, 2, 6, 24, 120, 720), *walked]
+    pooled = [t.counts[:7] for t in count_tables([frozenset(), *batch], 7, jobs=2)]
+    assert pooled == [(1, 1, 2, 6, 24, 120, 720), *walked]
 
 
 def test_jobs_below_one_rejected():
@@ -334,64 +346,65 @@ def test_negative_n_rejected():
 
 def test_dead_worker_raises(dying_worker):
     # a worker that dies must end the call with an error, not hang it, and
-    # the memo must not gain a partial answer
-    # the longest patterns end in three q's, so there are three chunks and a pool
+    # the memo must not gain a partial answer; the walk to n = 7 leaves a
+    # frontier of the avoiders of 132, 123 or 213 of length 5, so a pool
     sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="worker process died"):
-        count_tables(sets, 6, jobs=2)
+        count_tables(sets, 7, jobs=2)
     assert time.monotonic() - started < 5
     assert dying_worker == {}
 
 
-def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+def _in_process_pool(calls):
+    # a replacement for _pool that records (frontier nodes, workers) and walks
+    # the subtrees in this process, adding to the walk's own tallies
+    def pool(frontier, rec, tallies, workers):
+        calls.append((len(frontier), workers))
+        for node in frontier:
+            rec(*node)
+
+    return pool
+
+
+def test_pool_starts_no_more_workers_than_frontier_nodes(monkeypatch):
     # the pool forks all its workers at once, so their number must be capped
-    # by the number of chunks, and a single chunk needs none; the fake forks
-    # nothing.  A chunk is the whole group of the sets whose longest patterns
-    # end in the same q = standardize(p[:-1]): 123, 132 and 231 all end in
-    # q = 12, and the first 17 patterns of S4 fall into six q-groups of 4, 4,
-    # 4, 3, 1 and 1, so six chunks
-    sizes = []
-
-    def recording_pool(chunks, n_max, workers):
-        sizes.append(workers)
-        return [enumeration._compute_counts(chunk, n_max) for chunk in chunks]
-
-    monkeypatch.setattr(enumeration, "_pool", recording_pool)
+    # by the number of frontier nodes at depth 5, and a frontier of one node
+    # needs none; nor does a walk to n <= 6, which never reaches depth 5.  The
+    # avoiders of {123, 132, 213} are counted by the Fibonacci numbers, 8 of
+    # them of length 5, and the identity is the only avoider of 21
+    calls = []
+    monkeypatch.setattr(enumeration, "_pool", _in_process_pool(calls))
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
-    assert count_tables([{(1, 2, 3)}, {(1, 3, 2)}, {(2, 3, 1)}], 5, jobs=64)[0].counts[5] == 42
-    assert sizes == []
-    assert len(count_tables([{p} for p in S4[:17]], 5, jobs=64)) == 17
+    assert count_tables([{(2, 1)}, {(2, 1), (1, 2, 3, 4)}], 9, jobs=64)[0].counts[9] == 1
+    assert count_tables(_representatives(), 6, jobs=64)[0].counts[6] > 0
+    assert calls == []
+    fibonacci = [{(1, 2, 3), (1, 3, 2), (2, 1, 3)}]
+    assert count_tables(fibonacci, 7, jobs=64)[0].counts == (1, 1, 2, 3, 5, 8, 13, 21)
     enumeration._TABLE_CACHE.clear()
-    count_tables([{p} for p in S4[:17]], 5, jobs=2)
-    assert sizes == [6, 2]
+    assert count_tables(fibonacci, 8, jobs=2)[0].counts[8] == 34
+    assert calls == [(8, 8), (8, 2)]
 
 
-def test_pool_chunks_scan_as_often_as_one_walk(monkeypatch):
-    # a chunk is a whole q-group, so walking the chunks one by one scans each
-    # node once per q, exactly as the one walk of all 283 representatives does
-    from permpat.catalog import expand_universe
-    from permpat.symmetry import partition_into_classes
-
-    reps = [o.representative for o in partition_into_classes(s for tid in (1, 2, 3, 4) for s in expand_universe(tid))]
-    real_scan, scans, pooled = enumeration._scan, [], []
+def test_pool_subtrees_scan_as_often_as_one_walk(monkeypatch):
+    # the pool splits the one walk of all 283 representatives by subtree, so
+    # walking the frontier's subtrees one by one scans each node once per q,
+    # exactly as the one walk does
+    reps = _representatives()
+    real_scan, scans, calls = enumeration._scan, [], []
 
     def counting_scan(child, plan, slot, start):
         scans[-1] += 1
         return real_scan(child, plan, slot, start)
 
-    def in_process_pool(chunks, n_max, workers):
-        pooled.append(len(chunks))
-        return [enumeration._compute_counts(chunk, n_max) for chunk in chunks]
-
     monkeypatch.setattr(enumeration, "_scan", counting_scan)
-    monkeypatch.setattr(enumeration, "_pool", in_process_pool)
+    monkeypatch.setattr(enumeration, "_pool", _in_process_pool(calls))
     tables = []
     for jobs in (1, 2):
         monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
         scans.append(0)
         tables.append([t.counts for t in count_tables(reps, 7, jobs=jobs)])
-    assert pooled == [6]
+    assert len(calls) == 1 and calls[0][0] > 1
     assert scans[0] > 0 and scans[1] == scans[0]
     assert tables[1] == tables[0]
 
@@ -405,7 +418,7 @@ def _no_child_left():
 def test_pool_reaps_every_worker(monkeypatch):
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
     sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
-    assert [t.counts[6] for t in count_tables(sets, 6, jobs=2)] == [132, 132, 132, 0]
+    assert [t.counts[7] for t in count_tables(sets, 7, jobs=2)] == [429, 429, 429, 0]
     _no_child_left()
 
 
@@ -416,18 +429,20 @@ def test_failed_worker_raises_and_leaves_no_child(dying_worker):
     sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
     started = time.monotonic()
     with pytest.raises(enumeration.WorkerError, match="worker process died"):
-        count_tables(sets, 6, jobs=2)
+        count_tables(sets, 7, jobs=2)
     assert time.monotonic() - started < 5
     assert dying_worker == {}
     _no_child_left()
 
 
-def test_pool_streams_more_chunks_and_results_than_a_pipe_holds(monkeypatch):
-    # 17,000 one-set chunks, one per q of S8, as each set {q + (9,)} ends its
-    # only pattern in its own q: their indices (4 bytes each) and their
-    # records both exceed the 64 KiB a Linux pipe holds, so a pool that wrote
-    # all the indices before reading any result would block for good
-    sets = [{q + (9,)} for q in itertools.islice(all_permutations(8), 17000)]
+def test_pool_streams_more_results_than_a_pipe_holds(monkeypatch):
+    # each worker sends back the tallies of every set of the walk: 3,000 sets
+    # {12, 21, q} that die at depth 2, plus {123}, which reaches the split,
+    # make records beyond the 64 KiB a Linux pipe holds, so a worker blocks
+    # on its full pipe until the parent reads it, and the parent reads one
+    # pipe at a time
+    sets = [{(1, 2), (2, 1), q} for q in itertools.islice(all_permutations(7), 3000)] + [{(1, 2, 3)}]
+    assert len(marshal.dumps([[0] * 8 for _ in sets])) > 1 << 16
 
     def expire(signum, frame):
         pytest.fail("the pool was still blocked after 60 s")
@@ -436,13 +451,14 @@ def test_pool_streams_more_chunks_and_results_than_a_pipe_holds(monkeypatch):
     signal.alarm(60)
     try:
         monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
-        pooled = count_tables(sets, 1, jobs=2)
+        pooled = count_tables(sets, 7, jobs=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
-    assert pooled == count_tables(sets, 1, jobs=1)
-    assert {t.counts for t in pooled} == {(1, 1)}
+    assert pooled == count_tables(sets, 7, jobs=1)
+    assert {t.counts for t in pooled[:-1]} == {(1, 1) + (0,) * 6}
+    assert pooled[-1].counts[7] == 429
     _no_child_left()
 
 
@@ -454,8 +470,8 @@ def test_pool_imports_no_process_pool_machinery():
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from permpat import count_tables\n"
-        "tables = count_tables([{(1, 2, 3)}, {(2, 1), (1, 2, 3, 4)}], 6, jobs=2)\n"
-        "assert [t.counts[6] for t in tables] == [132, 0]\n"
+        "tables = count_tables([{(1, 2, 3)}, {(2, 1), (1, 2, 3, 4)}], 7, jobs=2)\n"
+        "assert [t.counts[7] for t in tables] == [429, 0]\n"
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
