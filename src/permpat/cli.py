@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error (bad literal, cap exceeded) or a failed
 run (a dead worker process, an unwritable --out path), 2 when ``verify``
 found formula/oracle mismatches outside the pre-registered findings.  The
-hard cap on n (default 11) keeps runs desk-scale; override with the
-PERMPAT_NMAX_CAP environment variable.
+hard cap on n (default 11), which for ``nu`` bounds k + power, keeps runs
+desk-scale; override with the PERMPAT_NMAX_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def _run(args) -> int:
         t = parse_pattern_set(args.patterns)
         if args.power < 1:
             raise UsageError("--power must be at least 1")
+        # the image is filtered out of all of S_{k+power}
+        _check_cap(max(map(len, t), default=0) + args.power)
         image = lifting.lift_power(t, args.power)
         print(format_pattern_set(image))
         return 0

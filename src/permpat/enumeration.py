@@ -32,15 +32,16 @@ fold reads only the depth and the gap, and a walk computes it once per
 
 One walk serves several pattern sets.  Each node is built once for all the
 sets it avoids, and each of those sets carries its own mask; sets with the
-same patterns of length <= 3 share those folds.  The fold of a longer pattern
-depends only on its q and on the ranks asked of q, so a q that two or more
-sets of the walk ask for is scanned once per child for all of them.  That
-scan packs the interval of the i-th rank any of them asks into bits
-i * n .. i * n + n - 1 of one int, as a folded child has at most n gaps, and
-each set ORs in the slices of its own ranks.  In the tables every set's
-longest pattern has length 4, so its q is one of the six members of S_3.  A
-walk of one set counts at n_max in a single pass: its number of nodes at
-depth m is |S_m(T)|, so the tally is the whole table.
+same patterns of length <= 3 share those folds and their plans.  The fold of
+a longer pattern depends only on its q and on the ranks asked of q, so each
+q of length >= 3 is scanned once per child for every set that asks for it,
+be it one set or many.  That scan packs the interval of the i-th rank any of
+them asks into bits i * n .. i * n + n - 1 of one int, as a folded child has
+at most n gaps, and each set ORs in the slices of its own ranks.  So a walk
+builds each plan once and folds each q in one way.  In the tables every
+set's longest pattern has length 4, so its q is one of the six members of
+S_3.  A walk of one set counts at n_max in a single pass: its number of
+nodes at depth m is |S_m(T)|, so the tally is the whole table.
 
 A counting walk can be split across forked worker processes, by subtree and
 not by set.  The walk stops at depth _SPLIT and keeps each node there, with
@@ -57,9 +58,7 @@ from __future__ import annotations
 import marshal
 import os
 import signal
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .perms import Perm, PatternSet, pattern_set, standardize
@@ -77,17 +76,16 @@ class CountTable:
         return len(self.counts) - 1
 
 
-@lru_cache(maxsize=1024)
-def _shape(q: Perm, ranks: int, stride: int = 0) -> tuple:
+def _plan(q: Perm, ranks: int, stride: int = 0) -> tuple:
     """Fold plan for the patterns q + (r,) with bit r-1 of ``ranks`` set.
 
-    The plan's slots index a scratch list of powers 1 << value: slots 0..k-1
-    of q (k-1 is the new entry, k-2 the free slot's least candidate), the
-    bottom and top sentinels, and the free slot's greatest candidate.
-    ``windows[j]`` holds the nearest slots below and above q[j] among those
-    placed before it, and ``pairs`` the two ends of each forbidden interval
-    with the shift that moves the interval of the i-th rank asked to bit
-    i * ``stride`` of the fold; a stride of 0 ORs them all into one mask.
+    The plan's scratch list holds powers 1 << value, and its slots index it:
+    slots 0..k-1 of q (k-1 is the new entry, k-2 the free slot's least
+    candidate), the bottom and top sentinels, and the free slot's greatest
+    candidate.  ``windows[j]`` holds the nearest slots below and above q[j]
+    among those placed before it, and ``pairs`` the two ends of each forbidden
+    interval with the shift that moves the interval of the i-th rank asked to
+    bit i * ``stride`` of the fold; a stride of 0 ORs them all into one mask.
     """
     k = len(q)
     slot = {r: j for j, r in enumerate((*q, 0, k + 1))}
@@ -97,7 +95,7 @@ def _shape(q: Perm, ranks: int, stride: int = 0) -> tuple:
         windows.append((slot[max(r for r in placed if r < q[j])], slot[min(r for r in placed if r > q[j])]))
     asked = [r for r in range(1, k + 2) if ranks >> (r - 1) & 1]
     pairs = tuple((slot[r - 1], k + 2 if slot[r] == k - 2 else slot[r], i * stride) for i, r in enumerate(asked))
-    return k, tuple(windows), pairs
+    return k, tuple(windows), pairs, [1] * (k + 3)
 
 
 def _ranks(patterns: PatternSet) -> dict[Perm, int]:
@@ -109,11 +107,6 @@ def _ranks(patterns: PatternSet) -> dict[Perm, int]:
             q = standardize(p[:-1])
             asks[q] = asks.get(q, 0) | 1 << (p[-1] - 1)
     return asks
-
-
-def _plan(q: Perm, ranks: int, stride: int = 0) -> tuple:
-    # the shapes come from a cache, and each walk gets scratch lists of its own
-    return (*_shape(q, ranks, stride), [1] * (len(q) + 3))
 
 
 def _scan(child: list[int], plan: tuple, slot: int, start: int) -> int:
@@ -188,26 +181,24 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool, jobs: int = 1):
     tallies = [[0] * (n + 1) for _ in sets]
     out: Optional[list[list[Perm]]] = [[] for _ in range(n + 1)] if collect else None
     live = [(tally, patterns, _ranks(patterns)) for tally, patterns in zip(tallies, sets) if () not in patterns]
-    # the q's of length >= 3 that two or more sets ask for, with the union of
-    # the ranks asked: their scans are shared (see the module docstring)
+    # the union of the ranks that the sets ask of each q
     union: dict[Perm, int] = {}
-    users: Counter[Perm] = Counter()
     for _, _, asks in live:
         for q, ranks in asks.items():
             union[q] = union.get(q, 0) | ranks
-            users[q] += 1
-    # per shared q: [the child last scanned, its packed fold, the plan]
-    scans = {q: [None, 0, [_plan(q, union[q], n)]] for q in union if len(q) > 2 and users[q] > 1}
-    # the folds of the patterns of length <= 3 per (depth, gap), filled in as
-    # the walk first needs them
-    short_cells: dict[PatternSet, list] = {}
+    # per q of length >= 3: [the child last scanned, its packed fold, the
+    # plan]; every child is scanned once for all sets (see the module docstring)
+    scans = {q: [None, 0, [_plan(q, union[q], n)]] for q in union if len(q) > 2}
+    # per distinct set of patterns of length <= 3: its folds per (depth, gap),
+    # filled in as the walk first needs them, and its plans
+    shorts: dict[PatternSet, tuple] = {}
     roots = []
     for tally, patterns, asks in live:
         short = frozenset(p for p in patterns if len(p) <= 3)
-        cells = short_cells.setdefault(short, [None] * (n * n))
-        own = [_plan(q, r) for q, r in sorted(asks.items()) if q not in scans]
-        # rank j + 1 of a shared q has the slice numbered by the ranks below
-        # it that any set asks
+        if short not in shorts:
+            shorts[short] = ([None] * (n * n), [_plan(q, r) for q, r in _ranks(short).items()])
+        # rank j + 1 of q has the slice numbered by the ranks below it that
+        # any set asks
         uses = tuple(
             (scans[q], (union[q] & ((1 << j) - 1)).bit_count() * n)
             for q, r in asks.items()
@@ -215,7 +206,7 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool, jobs: int = 1):
             for j in range(len(q) + 1)
             if r >> j & 1
         )
-        spec = (tally, cells, [x for x in own if x[0] > 2], [x for x in own if x[0] <= 2], uses)
+        spec = (tally, *shorts[short], uses)
         # a length-1 pattern forbids the root's only gap
         roots.append((spec, int((1,) in patterns)))
 
@@ -254,7 +245,7 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool, jobs: int = 1):
             below = (bit << 1) - 1
             nxt = []
             for entry in active:
-                (_, cells, plans, short, uses), forb = entry
+                (_, cells, short, uses), forb = entry
                 if forb & bit:
                     continue
                 # gap g splits around v: bits above g move up one, bit g is copied
@@ -263,14 +254,13 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool, jobs: int = 1):
                     f = cells[row + g]
                     if f is None:
                         f = cells[row + g] = _fold(child, short, full)
-                    nf |= (f | _fold(child, plans, full)) if plans else f
-                    if uses:
-                        for scan, s in uses:
-                            # the first set that asks scans this child for all
-                            if scan[0] is not child:
-                                scan[0] = child
-                                scan[1] = _fold(child, scan[2], full)
-                            nf |= (scan[1] >> s) & full
+                    nf |= f
+                    for scan, s in uses:
+                        # the first set that asks scans this child for all
+                        if scan[0] is not child:
+                            scan[0] = child
+                            scan[1] = _fold(child, scan[2], full)
+                        nf |= (scan[1] >> s) & full
                 nxt.append((entry[0], nf))
             if last:
                 for spec, nf in nxt:
@@ -359,6 +349,9 @@ def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], worker
                 try:
                     _serve(frontier, rec, tallies, tasks, w)
                     code = 0
+                except BaseException as exc:
+                    # a child that raises sends back its cause instead
+                    os.write(w, f"{type(exc).__name__}: {exc}".encode())
                 finally:
                     os._exit(code)
             os.close(w)
@@ -373,9 +366,11 @@ def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], worker
         for pid in pids[len(results) :]:
             os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    # only a child that exited cleanly has sent all its tallies
+    # only a child that exited cleanly has sent all its tallies; the others
+    # sent their exception, if they raised one
     if any(codes):
-        raise WorkerError(f"a count worker process died: exit codes {codes}")
+        causes = dict.fromkeys(data.decode(errors="replace") for data, code in zip(results, codes) if code and data)
+        raise WorkerError("; ".join([f"a count worker process died: exit codes {codes}", *causes]))
     for data in results:
         for tally, part in zip(tallies, marshal.loads(data)):
             tally[:] = [a + b for a, b in zip(tally, part)]
@@ -422,7 +417,8 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
     Raises ValueError if ``jobs`` is not an int of at least 1 (None means 1).
     If a worker exits, raises or is
     killed before returning its tables, the call raises ``WorkerError``, a
-    ``RuntimeError``, stores nothing and leaves no child process behind.
+    ``RuntimeError``, stores nothing and leaves no child process behind; the
+    error names the type and message of any exception a worker raised.
     """
     normalized = [pattern_set(t) for t in sets]
     _fill(normalized, n_max, jobs)

@@ -77,6 +77,10 @@ MUTANTS = [
      "_plan(q, union[q], n)]",
      "_plan(q, union[q], n - 1)]",
      "a folded child has up to n gaps, so slices n - 1 bits apart run into each other"),
+    ("long-q-folded-nowhere", ENUMERATION,
+     "if len(q) > 2}",
+     "if len(q) > 3}",
+     "the q of a length-4 pattern has length 3, and the scans are the only fold of such a q"),
     ("worker-exit-code-unchecked", ENUMERATION,
      "    if any(codes):\n",
      "    if False:\n",

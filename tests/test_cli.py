@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from permpat.cli import main
 from permpat.perms import parse_pattern_set
 
@@ -114,6 +116,9 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "nonnegative" in err
     code, _, err = run(capsys, "nu", "--set", "132", "--power", "0")
     assert code == 1 and "--power" in err
+    # the image of a power-20 lift would be filtered out of all of S_23
+    code, out, err = run(capsys, "nu", "--set", "132", "--power", "20")
+    assert code == 1 and out == "" and "n=23 exceeds the hard cap 11" in err
     # a worker count below 1 is refused before any work, so stdout stays empty
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--nmax", "1", "--jobs", jobs)
@@ -128,6 +133,13 @@ def test_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("PERMPAT_NMAX_CAP", "12")
     code, out, _ = run(capsys, "count", "--set", "132", "--n", "4")
     assert code == 0 and out.strip() == "14"
+    # nu is capped at k + power: 3 + 1 = 4 is above the cap 3, and 4 <= 4
+    monkeypatch.setenv("PERMPAT_NMAX_CAP", "3")
+    code, _, err = run(capsys, "nu", "--set", "132")
+    assert code == 1 and "n=4 exceeds the hard cap 3" in err
+    monkeypatch.setenv("PERMPAT_NMAX_CAP", "4")
+    code, out, _ = run(capsys, "nu", "--set", "132")
+    assert code == 0 and len(out.strip().split(";")) == 10
     monkeypatch.setenv("PERMPAT_NMAX_CAP", "abc")
     code, _, err = run(capsys, "count", "--set", "132", "--n", "4")
     assert code == 1 and "PERMPAT_NMAX_CAP" in err
@@ -195,3 +207,13 @@ def test_verify_dead_worker_exits_one(dying_worker, capsys):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("permpat: error: ")
+
+
+@pytest.mark.parametrize("dying_worker", ["raise"], indirect=True)
+def test_verify_raising_worker_names_its_cause(dying_worker, capsys):
+    # a worker's exception is still one error line, and that line names it
+    code, out, err = run(capsys, "verify", "--nmax", "7", "--jobs", "2")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("permpat: error: ")
+    assert lines[0].endswith("RuntimeError: a count worker raised")
