@@ -50,7 +50,10 @@ subtrees of the frontier nodes they take from one shared pipe, and send back
 their per-set tallies, which are added to the walk's own for the depths
 above the split.  Integer sums do not depend on the schedule, so the tables
 cannot depend on the number of workers, and the split walk scans each node
-as often as the one walk does.
+as often as the one walk does.  Each worker is pinned to one CPU of the
+caller's affinity set, round-robin: under a cpuset with load balancing off,
+a forked child can stay on its parent's CPU for all of its short life, and
+unpinned workers then take turns on that one core while the others idle.
 """
 
 from __future__ import annotations
@@ -329,24 +332,32 @@ def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], worker
     on pipes of their own, and add those tallies to ``tallies``.  Every index
     is in the task pipe, and its write end closed, before the first fork, so
     no child waits on anything and the result pipes can be read to EOF one
-    after another.  Every child is reaped before this returns or raises
-    WorkerError; _serve is looked up at call time, so a replacement installed
-    before the fork applies in the children."""
+    after another.  Child i is pinned to the i-th CPU of the caller's
+    affinity set, round-robin, before it serves, so that a scheduler that
+    leaves a forked child on its parent's CPU still runs the children side
+    by side; the caller's own affinity is left as it is.  Every child is
+    reaped before this returns or raises WorkerError; _serve is looked up at
+    call time, so a replacement installed before the fork applies in the
+    children, pinned."""
     # one byte per index, at most 120 of them: one write, well below PIPE_BUF
     tasks, w = os.pipe()
     os.write(w, bytes(range(len(frontier))))
     os.close(w)
+    # the CPUs the workers are pinned to, round-robin; macOS has no affinity
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     pids: list[int] = []
     sources: list = []
     results: list[bytes] = []
     try:
-        for _ in range(workers):
+        for i in range(workers):
             r, w = os.pipe()
             sources.append(open(r, "rb"))
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
+                    if cpus:
+                        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
                     _serve(frontier, rec, tallies, tasks, w)
                     code = 0
                 except BaseException as exc:
@@ -411,9 +422,11 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
     Every set is counted in one walk.  With ``jobs`` above 1 and ``os.fork``
     that walk stops at depth 5 (see the module docstring), and up to ``jobs``
     forked worker processes, at most one per node there, walk the subtrees
-    below; when ``n_max`` is below 7 or only one node is there, no worker is
-    forked.  Results come back in input order regardless of the worker
-    count, and share the memo of ``count_table``.
+    below, each pinned to one CPU of the caller's affinity set, round-robin
+    (forked children can otherwise stay on the caller's CPU under a cpuset
+    with load balancing off); when ``n_max`` is below 7 or only one node is
+    there, no worker is forked.  Results come back in input order
+    regardless of the worker count, and share the memo of ``count_table``.
     Raises ValueError if ``jobs`` is not an int of at least 1 (None means 1).
     If a worker exits, raises or is
     killed before returning its tables, the call raises ``WorkerError``, a

@@ -89,6 +89,10 @@ MUTANTS = [
      "        tally[:] = [0] * len(tally)\n",
      "        tally[:] = tally\n",
      "the tallies above the split are the parent's, so a worker that sends them back counts them twice"),
+    ("workers-pinned-to-one-cpu", ENUMERATION,
+     "cpus[i % len(cpus)]",
+     "cpus[0]",
+     "forked workers stay on the CPU they are pinned to, so pinning them all to one serializes the pool"),
     ("split-active-in-workers", ENUMERATION,
      "    split = -1\n",
      "    split = split\n",

@@ -485,3 +485,55 @@ def test_pool_imports_no_process_pool_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+pinnable = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+
+
+@pinnable
+def test_pool_pins_each_worker_to_its_own_cpu(monkeypatch, tmp_path):
+    # under a cpuset with load balancing off, a forked child can stay on its
+    # parent's CPU, so the pool pins worker i to the i-th allowed CPU; the
+    # frontier of 132 at depth 5 has 42 nodes, so jobs=2 forks two workers
+    cpus, serve = sorted(os.sched_getaffinity(0)), enumeration._serve
+    if len(cpus) < 2:
+        pytest.skip("fewer than 2 CPUs allowed")
+
+    # _pool looks _serve up at call time, so the forked workers run this one
+    def recording_serve(*args):
+        (tmp_path / str(os.getpid())).write_text(repr(sorted(os.sched_getaffinity(0))))
+        serve(*args)
+
+    monkeypatch.setattr(enumeration, "_serve", recording_serve)
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    pooled = count_tables([{(1, 3, 2)}], 7, jobs=2)
+    assert sorted(path.read_text() for path in tmp_path.iterdir()) == sorted(repr([cpu]) for cpu in cpus[:2])
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    assert pooled == count_tables([{(1, 3, 2)}], 7, jobs=1)
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+@pinnable
+def test_pool_wraps_more_workers_than_cpus():
+    # three workers allowed one CPU wrap round-robin onto it and still count;
+    # a fresh interpreter restricts itself, so this process is never pinned,
+    # and each worker writes its affinity to stdout unbuffered
+    src = Path(enumeration.__file__).resolve().parent.parent
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from permpat import count_tables, enumeration\n"
+        "cpu = min(os.sched_getaffinity(0))\n"
+        "os.sched_setaffinity(0, {cpu})\n"
+        "serve = enumeration._serve\n"
+        "def recording_serve(*args):\n"
+        "    os.write(1, f'{sorted(os.sched_getaffinity(0))}\\n'.encode())\n"
+        "    serve(*args)\n"
+        "enumeration._serve = recording_serve\n"
+        "assert count_tables([{(1, 3, 2)}], 7, jobs=3)[0].counts[7] == 429\n"
+        "print(cpu)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    *workers, cpu = out.stdout.split()
+    assert workers == [f"[{cpu}]"] * 3
