@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .enumeration import CountTable, avoiders_by_length, count_table, count_tables, enumerate_avoiders
@@ -158,8 +157,7 @@ EXPLICIT_FAMILIES: dict[PatternSet, ExplicitFamily] = {
 
 # --- table rows --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     table: int
     row_id: str
     representative: str
@@ -167,10 +165,8 @@ class TableRow:
     citation: str
     formula: CountFormula
     valid_from: int
-    matches: Callable[[_Parts], bool] = field(compare=False)
-    per_set: Optional[Callable[[_Parts], tuple[CountFormula, int]]] = field(
-        default=None, compare=False
-    )
+    matches: Callable[[_Parts], bool]
+    per_set: Optional[Callable[[_Parts], tuple[CountFormula, int]]] = None
 
 
 def _member_of(members: frozenset[PatternSet]) -> Callable[[_Parts], bool]:
@@ -320,8 +316,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     claimed_class_size: int
     formula: CountFormula
     valid_from: int
@@ -414,8 +409,7 @@ CALIBRATION = {
 }
 
 
-@dataclass
-class PairCheck:
+class PairCheck(NamedTuple):
     pattern_set: PatternSet
     row_id: Optional[str]
     valid_from: Optional[int]
@@ -430,8 +424,7 @@ class PairCheck:
         return format_pattern_set(self.pattern_set)
 
 
-@dataclass
-class RowAudit:
+class RowAudit(NamedTuple):
     row_id: str
     representative: str
     claimed_size: int
@@ -453,21 +446,14 @@ class RowAudit:
         }
 
 
-@dataclass
 class TableAudit:
-    """A table's pair checks in universe order, and the audit derived from them."""
+    """A table's pair checks in universe order, and the audit derived from them
+    (``rows``, ``uncovered``, ``universe``, ``covered``, ``claimed_total``)."""
 
-    table_id: int
-    checks: list[PairCheck]
-    universe: int = field(init=False)
-    covered: int = field(init=False)
-    claimed_total: int = field(init=False)
-    rows: list[RowAudit] = field(init=False)
-    uncovered: list[PairCheck] = field(init=False)
-
-    def __post_init__(self) -> None:
-        tally = Counter((c.row_id, c.verdict) for c in self.checks)
-        rows = [row for row in TABLE_ROWS if row.table == self.table_id]
+    def __init__(self, table_id: int, checks: list[PairCheck]) -> None:
+        self.table_id, self.checks = table_id, checks
+        tally = Counter((c.row_id, c.verdict) for c in checks)
+        rows = [row for row in TABLE_ROWS if row.table == table_id]
         self.rows = [
             RowAudit(
                 row_id=row.row_id, representative=row.representative, claimed_size=row.claimed_size,
@@ -477,8 +463,8 @@ class TableAudit:
             )
             for row in rows
         ]
-        self.uncovered = [c for c in self.checks if c.row_id is None]
-        self.universe = len(self.checks)
+        self.uncovered = [c for c in checks if c.row_id is None]
+        self.universe = len(checks)
         self.covered = self.universe - len(self.uncovered)
         self.claimed_total = sum(row.claimed_size for row in rows)
 
@@ -497,8 +483,7 @@ class TableAudit:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n_max: int
     jobs: Optional[int]
     elapsed_seconds: float

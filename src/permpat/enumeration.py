@@ -61,14 +61,12 @@ from __future__ import annotations
 import marshal
 import os
 import signal
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .perms import Perm, PatternSet, pattern_set, standardize
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Avoider counts |S_n(T)| for n = 0..n_max."""
 
     pattern_set: PatternSet

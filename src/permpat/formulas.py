@@ -18,9 +18,8 @@ run (``inflate``), and the count is the size of that set at each n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -94,8 +93,17 @@ def gf_coefficients(num: Sequence[int], den: Sequence[int], n_max: int) -> list[
 
 # --- formula variants ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Catalan:
+def _by_class(cls):
+    # NamedTuple equality is tuple equality, so Catalan() == TribonacciForm() == ();
+    # a formula equals, and hashes with, only formulas of its own class
+    cls.__eq__ = lambda self, other: type(self) is type(other) and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: not self == other
+    cls.__hash__ = lambda self: hash((type(self), *self))
+    return cls
+
+
+@_by_class
+class Catalan(NamedTuple):
     def eval(self, n: int) -> int:
         return comb(2 * n, n) // (n + 1)
 
@@ -103,8 +111,8 @@ class Catalan:
         return "C(2n,n)/(n+1)"
 
 
-@dataclass(frozen=True)
-class BinomialPoly:
+@_by_class
+class BinomialPoly(NamedTuple):
     """sum of coeff * C(n + offset, k) terms plus a constant."""
 
     terms: tuple[tuple[int, int, int], ...]  # (coeff, offset, k)
@@ -117,8 +125,8 @@ class BinomialPoly:
         return _render_terms(self.terms, self.constant)
 
 
-@dataclass(frozen=True)
-class PowerLinear:
+@_by_class
+class PowerLinear(NamedTuple):
     """(lin_a*n + lin_b) * 2^(n+shift) plus a binomial correction."""
 
     lin_a: int
@@ -148,8 +156,8 @@ class PowerLinear:
         return f"{head}2^({exp}){tail}"
 
 
-@dataclass(frozen=True)
-class FibonacciForm:
+@_by_class
+class FibonacciForm(NamedTuple):
     """f(stretch*n + offset) + addend under f(1) = f(2) = 1."""
 
     stretch: int
@@ -167,8 +175,8 @@ class FibonacciForm:
         return f"f({idx}){tail} [f(1)=f(2)=1]"
 
 
-@dataclass(frozen=True)
-class TribonacciForm:
+@_by_class
+class TribonacciForm(NamedTuple):
     def eval(self, n: int) -> int:
         return tribonacci(n)
 
@@ -176,8 +184,8 @@ class TribonacciForm:
         return "t(n) [t(1),t(2),t(3)=1,2,4]"
 
 
-@dataclass(frozen=True)
-class RationalGF:
+@_by_class
+class RationalGF(NamedTuple):
     num: tuple[int, ...]
     den: tuple[int, ...]
 
@@ -188,8 +196,8 @@ class RationalGF:
         return f"[x^n] {_render_poly(self.num)}/({_render_poly(self.den)})"
 
 
-@dataclass(frozen=True)
-class ZeroBeyond:
+@_by_class
+class ZeroBeyond(NamedTuple):
     from_n: int
 
     def eval(self, n: int) -> int:
@@ -199,8 +207,8 @@ class ZeroBeyond:
         return f"0 (n>={self.from_n})"
 
 
-@dataclass(frozen=True)
-class ExplicitFamily:
+@_by_class
+class ExplicitFamily(NamedTuple):
     """A listed avoider family: ``build(n)`` inflates each (skeleton, i, descending) member."""
 
     name: str

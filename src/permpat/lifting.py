@@ -12,8 +12,7 @@ forbidden one is redundant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import (
     Perm,
@@ -57,8 +56,7 @@ def superpatterns(tau: Sequence[int], m: int) -> PatternSet:
     return frozenset(p for p in all_permutations(m) if _occurrence(p, tau) is not None)
 
 
-@dataclass(frozen=True)
-class NuImage:
+class NuImage(NamedTuple):
     """One lifting step: source patterns of length k, image of length k+1."""
 
     source: PatternSet

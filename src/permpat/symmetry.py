@@ -12,9 +12,8 @@ avoider sets, which makes orbits the right unit for the classification tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Perm, PatternSet, check_permutation, format_pattern_set, pattern_set, pattern_set_key
 
@@ -69,8 +68,7 @@ def apply_set(ops: str, t: Iterable[Perm]) -> PatternSet:
     return frozenset(apply_op(ops, tuple(p)) for p in t)
 
 
-@dataclass(frozen=True)
-class SymmetryOrbit:
+class SymmetryOrbit(NamedTuple):
     """An orbit of pattern sets under the reverse/inverse group."""
 
     members: frozenset[PatternSet]

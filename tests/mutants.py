@@ -101,6 +101,10 @@ MUTANTS = [
      "range(v + shift, v - 1, -1) if descending",
      "range(v + shift + 1, v - 1, -1) if descending",
      "a descending run one entry too long is not a permutation of 1..n"),
+    ("formula-equality-ignores-class", "src/permpat/formulas.py",
+     "type(self) is type(other) and tuple.__eq__(self, other)",
+     "tuple.__eq__(self, other)",
+     "Catalan() and TribonacciForm() are both (), and verify evaluates each distinct formula once"),
     ("family-run-direction-flipped", CATALOG,
      '"123;132;231;3214": (((4, 2, 1, 3), 0, True),',
      '"123;132;231;3214": (((4, 2, 1, 3), 0, False),',

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -23,7 +22,7 @@ from permpat.enumeration import (
     count_tables,
     enumerate_avoiders,
 )
-from permpat.formulas import evaluate, render
+from permpat.formulas import BinomialPoly, Catalan, RationalGF, TribonacciForm, evaluate, render
 from permpat.lifting import lift, lift_power, pattern_words
 from permpat.perms import (
     all_permutations,
@@ -149,10 +148,27 @@ def test_assignment_is_unambiguous_everywhere():
 
 def test_double_row_match_raises(monkeypatch):
     catalan = next(row for row in TABLE_ROWS if row.row_id == "1.catalan")
-    copy = dataclasses.replace(catalan, row_id="1.catalan-copy")
+    copy = catalan._replace(row_id="1.catalan-copy")
     monkeypatch.setattr(catalog, "TABLE_ROWS", TABLE_ROWS + (copy,))
     with pytest.raises(CatalogIntegrityError, match="1.catalan, 1.catalan-copy"):
         assign_entries([parse_pattern_set("123;1234")])
+
+
+def test_records_compare_by_class_and_stay_frozen():
+    # records are NamedTuples; two formulas with equal fields (or none) are
+    # still distinct formulas, or verify would evaluate one for the other
+    assert Catalan() != TribonacciForm() and not Catalan() == TribonacciForm()
+    assert len({Catalan(), TribonacciForm()}) == 2
+    assert BinomialPoly((1, 2), 3) != RationalGF((1, 2), 3)
+    assert BinomialPoly((1, 2), 3) == BinomialPoly(terms=(1, 2), constant=3)
+    entry, table = classify(parse_pattern_set("123;1234"), 4)
+    records = [
+        (table, "counts"), (lift([(1, 2)]), "image"), (orbit([(1, 3, 2)]), "members"),
+        (entry, "row_id"), (BinomialPoly((), 1), "constant"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_row_sizes_match_claims_for_first_three_tables():

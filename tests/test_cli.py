@@ -1,8 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permpat
 from permpat.cli import main
 from permpat.perms import parse_pattern_set
 
@@ -11,6 +15,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_startup_imports_no_dataclasses_or_inspect():
+    # every command pays for these imports first; the records are NamedTuples,
+    # so start-up loads neither dataclasses nor the inspect module it pulls in
+    src = Path(permpat.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import permpat, permpat.catalog, permpat.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_count(capsys):
