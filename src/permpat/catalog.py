@@ -61,12 +61,12 @@ from .perms import (
     PatternSet,
     Perm,
     all_permutations,
+    check_int,
     contains,
     format_pattern_set,
     format_permutation,
     parse_pattern_set,
     pattern_set,
-    pattern_set_key,
 )
 from .symmetry import apply_set, orbit, partition_into_classes
 
@@ -94,8 +94,13 @@ class _Parts(NamedTuple):
 
 
 def _split(s: PatternSet) -> _Parts:
-    fours = [p for p in s if len(p) == 4]
-    return _Parts(s, frozenset(p for p in s if len(p) == 3), fours[0] if len(fours) == 1 else None)
+    threes, fours = [], []
+    for p in s:
+        if len(p) == 3:
+            threes.append(p)
+        elif len(p) == 4:
+            fours.append(p)
+    return _Parts(s, frozenset(threes), fours[0] if len(fours) == 1 else None)
 
 
 # whether each length-4 pattern contains each length-3 one, computed once
@@ -326,17 +331,21 @@ class CatalogEntry(NamedTuple):
 
 
 def expand_universe(table_id: int) -> list[PatternSet]:
-    """All pattern sets of a table's universe, in canonical order."""
+    """All pattern sets of a table's universe, in canonical order.
+
+    A set's sorted pattern list is its length-3 patterns in lexicographic
+    order, then its length-4 one, and combinations of the sorted S_3 come in
+    lexicographic order, so this product order is already ``pattern_set_key``'s.
+    """
     sizes = {1: (1,), 2: (2,), 3: (3,), 4: (4, 5, 6)}.get(table_id)
     if sizes is None:
         raise ValueError(f"unknown table id {table_id}")
-    sets = [
-        frozenset(threes) | {tau}
+    return [
+        frozenset((*threes, tau))
         for k in sizes
         for threes in itertools.combinations(S3, k)
         for tau in S4
     ]
-    return sorted(sets, key=pattern_set_key)
 
 
 def table_of(s: PatternSet) -> Optional[int]:
@@ -367,15 +376,24 @@ def _entry_for(row: TableRow, x: _Parts) -> CatalogEntry:
     )
 
 
+def _rows_by_table() -> dict[int, list[TableRow]]:
+    # read at call time, so that a replaced TABLE_ROWS applies
+    rows: dict[int, list[TableRow]] = {}
+    for row in TABLE_ROWS:
+        rows.setdefault(row.table, []).append(row)
+    return rows
+
+
 def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
     """Map each set to the entry of the one row it satisfies, or None; ``verify``
     and ``classify`` both match sets to rows here.  Raises ValueError on a
     malformed set and CatalogIntegrityError on a set that satisfies two rows."""
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
+    rows = _rows_by_table()
     for s in universe:
         x = _split(s)
-        tid = _table_of(x)  # None outside the four universes, so no row is hit
-        hits = [row for row in TABLE_ROWS if row.table == tid and row.matches(x)]
+        # None outside the four universes, so no row is hit
+        hits = [row for row in rows.get(_table_of(x), ()) if row.matches(x)]
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")
@@ -453,7 +471,7 @@ class TableAudit:
     def __init__(self, table_id: int, checks: list[PairCheck]) -> None:
         self.table_id, self.checks = table_id, checks
         tally = Counter((c.row_id, c.verdict) for c in checks)
-        rows = [row for row in TABLE_ROWS if row.table == table_id]
+        rows = _rows_by_table().get(table_id, [])
         self.rows = [
             RowAudit(
                 row_id=row.row_id, representative=row.representative, claimed_size=row.claimed_size,
@@ -563,11 +581,16 @@ def _check_pair(
     # a listed family must also equal the oracle's avoider set, not just its
     # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
-    avoiders = avoiders_by_length(n_max, s) if family else None
-    mismatch_ns = tuple(
-        n for n in range(entry.valid_from, n_max + 1)
-        if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
-    )
+    vf = entry.valid_from
+    mismatch_ns: tuple[int, ...] = ()
+    # the common case, every count from the threshold on as claimed, is one
+    # tuple comparison; the mismatched n are listed only when there are some
+    if family or values[vf - 1 :] != counts[vf:]:
+        avoiders = avoiders_by_length(n_max, s) if family else None
+        mismatch_ns = tuple(
+            n for n in range(vf, n_max + 1)
+            if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
+        )
     return PairCheck(
         pattern_set=s, row_id=entry.row_id, valid_from=entry.valid_from,
         counts=counts, formula_values=values,
@@ -589,9 +612,15 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     ``count_table`` and ``classify`` always search the set they are given.  The
     formula, threshold, class-size and explicit-family set checks run on every
     member.
+
+    Around that walk the bookkeeping runs in this process: the universes come
+    in canonical order with no sort, each set is split once and tried only
+    against its own table's rows, and a set's counts from its threshold on are
+    compared with its formula's values in one step; the mismatched n are
+    listed only when there are some, and an explicit family's set is always
+    checked.  The findings count the 24 sets {213, 321, tau} in one walk.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    check_int(n_max, "n_max", 1)
     started = time.perf_counter()
     universes = {tid: expand_universe(tid) for tid in (1, 2, 3, 4)}
     members = [s for u in universes.values() for s in u]
@@ -670,8 +699,9 @@ _FINDINGS: tuple[tuple[str, str, str, str, Callable[[int, TableAudit], dict]], .
      "the tau list printed for T={213,321} reads {1324,2314,1324} (a duplicate)",
      "every tau containing 213 or 321 gives C(n,2)+1 for that T; full list recomputed",
      lambda n_max, t4: {"taus_with_nn2_counts_n_le_6": [
-         format_permutation(tau) for tau in S4
-         if count_table(frozenset({P213, P321, tau}), 6).counts[1:] == tuple(map(_nn2, range(1, 7)))
+         format_permutation(tau)
+         for tau, table in zip(S4, count_tables([frozenset({P213, P321, tau}) for tau in S4], 6))
+         if table.counts[1:] == tuple(map(_nn2, range(1, 7)))
      ]}),
     ("2n2-item-prints-3412", "misprint",
      "one C(n,2)+1 item names (213,312,3412)",

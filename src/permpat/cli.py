@@ -17,9 +17,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import catalog, lifting
+from . import lifting
 from .enumeration import WorkerError, count_avoiders, enumerate_avoiders
-from .formulas import render
 from .perms import (
     _parse_word,
     contains,
@@ -172,7 +171,11 @@ def _run(args) -> int:
         print(count_avoiders(args.n, parse_pattern_set(args.patterns)))
         return 0
 
+    # only classify and verify read the tables, so only they build them
     if args.command == "classify":
+        from . import catalog
+        from .formulas import render
+
         _check_cap(args.nmax)
         entry, table = catalog.classify(parse_pattern_set(args.patterns), args.nmax)
         payload = {
@@ -194,6 +197,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        from . import catalog
+
         _check_cap(args.nmax)
         if args.jobs is not None and args.jobs < 1:
             raise UsageError("--jobs must be at least 1")

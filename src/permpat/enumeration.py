@@ -63,7 +63,7 @@ import os
 import signal
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .perms import Perm, PatternSet, pattern_set, standardize
+from .perms import Perm, PatternSet, check_int, pattern_set, standardize
 
 
 class CountTable(NamedTuple):
@@ -286,16 +286,16 @@ def _walk(n: int, sets: Sequence[PatternSet], collect: bool, jobs: int = 1):
 def avoiders_by_length(n: int, t: Iterable[Sequence[int]]) -> list[list[Perm]]:
     """Entry m lists the members of S_m avoiding every pattern in t, in walk
     order, for every m = 0..n, from one collecting walk.  Raises ValueError if
-    n is negative or a member of t is not a permutation."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n is not a nonnegative int or a member of t is not a permutation."""
+    check_int(n, "n")
     return _walk(n, [pattern_set(t)], collect=True)[1]
 
 
 def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
     """All members of S_n avoiding every pattern in t, in lexicographic order.
 
-    Raises ValueError if n is negative or a member of t is not a permutation.
+    Raises ValueError if n is not a nonnegative int or a member of t is not a
+    permutation.
     """
     return sorted(avoiders_by_length(n, t)[n])
 
@@ -387,11 +387,9 @@ def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], worker
 
 def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
     """Make ``_TABLE_CACHE`` hold every set's table to at least ``n_max``."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    # type(True) is bool, so True and 2.0 raise here rather than count
-    if jobs is not None and (type(jobs) is not int or jobs < 1):
-        raise ValueError("jobs must be an int of at least 1")
+    check_int(n_max, "n_max")
+    if jobs is not None:
+        check_int(jobs, "jobs", 1)
     todo = [t for t in dict.fromkeys(sets) if len(_TABLE_CACHE.get(t, ())) <= n_max]
     if todo:
         _TABLE_CACHE.update(zip(todo, _compute_counts(todo, n_max, jobs or 1)))
@@ -402,7 +400,7 @@ def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
 
     The walk visits each avoider of each length n <= n_max exactly once, so
     the number of nodes at depth n is the count itself.  Raises ValueError if
-    a member of t is not a permutation.
+    n_max is not a nonnegative int or a member of t is not a permutation.
     """
     patterns = pattern_set(t)
     _fill([patterns], n_max, None)

@@ -19,6 +19,7 @@ from .perms import (
     PatternSet,
     _occurrence,
     all_permutations,
+    check_int,
     check_permutation,
     contains,
     pattern_set,
@@ -29,14 +30,15 @@ from .perms import (
 def pattern_words(tau: Sequence[int], m: int) -> frozenset[tuple[int, ...]]:
     """All length-k words with distinct letters from 1..m order-isomorphic to tau.
 
-    Raises ValueError if tau is not a permutation.
+    Raises ValueError if tau is not a permutation or m is not an int of at
+    least its length.
 
     >>> sorted(pattern_words((1, 3, 2), 4))
     [(1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 4, 3)]
     """
     tau = check_permutation(tau)
     k = len(tau)
-    if m < k:
+    if check_int(m, "alphabet bound") < k:
         raise ValueError(f"alphabet bound {m} is smaller than the pattern length {k}")
     words = set()
     for values in itertools.combinations(range(1, m + 1), k):
@@ -45,13 +47,14 @@ def pattern_words(tau: Sequence[int], m: int) -> frozenset[tuple[int, ...]]:
 
 
 def superpatterns(tau: Sequence[int], m: int) -> PatternSet:
-    """All permutations in S_m containing tau.
+    """All permutations in S_m containing tau; ValueError if m is not an int
+    of at least the length of tau.
 
     >>> len(superpatterns((1, 3, 2), 4))
     10
     """
     tau = standardize(tau)
-    if m < len(tau):
+    if check_int(m, "length") < len(tau):
         raise ValueError(f"length {m} is smaller than the pattern length {len(tau)}")
     return frozenset(p for p in all_permutations(m) if _occurrence(p, tau) is not None)
 
@@ -86,9 +89,9 @@ def lift(t: Iterable[Sequence[int]]) -> NuImage:
 
 
 def lift_power(t: Iterable[Sequence[int]], p: int) -> PatternSet:
-    """p-fold lift; the result consists of patterns of length k+p."""
-    if p < 1:
-        raise ValueError("lift power must be at least 1")
+    """p-fold lift; the result consists of patterns of length k+p.  Raises
+    ValueError unless p is an int of at least 1."""
+    check_int(p, "lift power", 1)
     current = frozenset(tuple(q) for q in t)
     for _ in range(p):
         current = lift(current).image

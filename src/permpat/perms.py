@@ -46,6 +46,19 @@ def check_permutation(entries: Sequence[int]) -> Perm:
     return p
 
 
+def check_int(value: int, name: str, least: int = 0) -> int:
+    """Return ``value`` if it is an int of at least ``least``, else raise
+    ValueError; the one rule for every length, bound, power and worker count
+    (True == 1 and 2.0 == 2, but neither is an int here).
+
+    >>> check_int(3, "n")
+    3
+    """
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+    return value
+
+
 def standardize(word: Sequence[int]) -> Perm:
     """Replace each letter by its rank, giving the order-isomorphic permutation.
 
@@ -176,8 +189,10 @@ def pattern_key(p: Perm) -> tuple[int, Perm]:
 
 
 def pattern_set_key(s: PatternSet):
-    # total order on pattern sets: cardinality, then the sorted pattern list
-    return (len(s), tuple(sorted(s, key=pattern_key)))
+    # total order on pattern sets: cardinality, then the pattern list sorted as
+    # pattern_key sorts it; a stable sort by length of the lexicographic order
+    # gives that list with no Python call per pattern
+    return (len(s), tuple(sorted(sorted(s), key=len)))
 
 
 def format_permutation(p: Perm) -> str:

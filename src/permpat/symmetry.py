@@ -101,9 +101,9 @@ def orbit(t: Iterable[Sequence[int]]) -> SymmetryOrbit:
     ['123', '321']
     """
     s = pattern_set(t)
-    # the j-th image of a set is the set of its patterns' j-th images
-    images = [_images(p) for p in s]
-    members = frozenset(frozenset(row[j] for row in images) for j in range(8))
+    # the j-th image of a set is the set of its patterns' j-th images; the
+    # empty set has no pattern to zip, and is its own only image
+    members = frozenset(map(frozenset, zip(*map(_images, s)))) or frozenset({s})
     return SymmetryOrbit(members, min(members, key=pattern_set_key))
 
 
@@ -115,7 +115,7 @@ def _images(p: Perm) -> tuple[Perm, ...]:
 
 def partition_into_classes(sets: Iterable[Iterable[Sequence[int]]]) -> list[SymmetryOrbit]:
     """Disjoint orbits covering the input, ordered by canonical representative."""
-    pending = [frozenset(tuple(p) for p in s) for s in sets]
+    pending = [frozenset(map(tuple, s)) for s in sets]
     orbits: dict[PatternSet, SymmetryOrbit] = {}
     assigned: set[PatternSet] = set()
     for s in pending:

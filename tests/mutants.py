@@ -32,6 +32,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_c
 
 ENUMERATION = "src/permpat/enumeration.py"
 CATALOG = "src/permpat/catalog.py"
+PERMS = "src/permpat/perms.py"
 
 MUTANTS = [
     ("gap-split", ENUMERATION,
@@ -141,6 +142,22 @@ MUTANTS = [
      "if {type(v) for p in x.s for v in p} == {int}:",
      "if True:",
      "True == 1 and 2.0 == 2 pass the lookups in S_3 and S_4, so a set holding them must raise"),
+    ("universe-tau-loop-outermost", CATALOG,
+     "        for k in sizes\n        for threes in itertools.combinations(S3, k)\n        for tau in S4\n",
+     "        for tau in S4\n        for k in sizes\n        for threes in itertools.combinations(S3, k)\n",
+     "expand_universe does not sort, so its loops must run in canonical order, tau innermost"),
+    ("pair-fast-path-skips-threshold", CATALOG,
+     "if family or values[vf - 1 :] != counts[vf:]:",
+     "if family or values[vf:] != counts[vf + 1 :]:",
+     "the one-step pair check must compare the count at n = valid_from too"),
+    ("set-key-without-length-sort", PERMS,
+     "return (len(s), tuple(sorted(sorted(s), key=len)))",
+     "return (len(s), tuple(sorted(s)))",
+     "the canonical order lists a set's patterns by length first, as format_pattern_set does"),
+    ("int-check-dropped", PERMS,
+     "if type(value) is not int or value < least:",
+     "if value < least:",
+     "True == 1 and 2.0 == 2, but a length, power or n_max of either must raise ValueError"),
     ("inverse-unchecked", "src/permpat/symmetry.py",
      "enumerate(check_permutation(p), 1)",
      "enumerate(p, 1)",

@@ -141,6 +141,14 @@ def test_zero_row_thresholds():
     assert thresholds["123;132;213;4321"] == 7
 
 
+def test_universes_come_in_canonical_order():
+    # expand_universe emits its product in order instead of sorting it
+    for tid in (1, 2, 3, 4):
+        universe = expand_universe(tid)
+        assert universe == sorted(universe, key=pattern_set_key)
+        assert len(set(universe)) == len(universe)
+
+
 def test_assignment_is_unambiguous_everywhere():
     for tid in (1, 2, 3, 4):
         assign_entries(expand_universe(tid))  # raises on any double match
@@ -417,6 +425,23 @@ def test_jobs_that_are_not_ints_rejected(name, jobs):
     # not write "jobs": true into its report
     with pytest.raises(ValueError, match="jobs"):
         _JOBS_CALLS[name](jobs)
+
+
+def test_a_count_wrong_only_at_the_threshold_is_a_mismatch(monkeypatch):
+    # the pair check compares all counts from valid_from on in one step; a
+    # count that is wrong at n = valid_from and nowhere else is a mismatch at
+    # that n, and a threshold above it hides it
+    compute = enumeration._compute_counts
+
+    def wrong_at_three(sets, n_max, jobs):
+        return [t[:3] + (t[3] + 1,) + t[4:] if len(t) > 3 else t for t in compute(sets, n_max, jobs)]
+
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    monkeypatch.setattr(enumeration, "_compute_counts", wrong_at_three)
+    covered = [p for p in verify(4).pairs.values() if p.verdict != "uncovered"]
+    assert any(p.valid_from == 3 and p.pattern_set not in EXPLICIT_FAMILIES for p in covered)
+    for p in covered:
+        assert p.mismatch_ns == ((3,) if p.valid_from <= 3 else ()), p.literal
 
 
 def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, capsys):

@@ -32,6 +32,21 @@ def test_startup_imports_no_dataclasses_or_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_tables():
+    # only classify and verify read the classification tables, so a command
+    # such as count or contains never imports catalog, which builds them
+    src = Path(permpat.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import permpat.cli\n"
+        "print('permpat.catalog' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--set", "123;321", "--n", "6")
     assert code == 0 and out.strip() == "0"

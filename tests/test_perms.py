@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from permpat.catalog import verify
+from permpat.enumeration import avoiders_by_length, count_avoiders, count_table, count_tables, enumerate_avoiders
+from permpat.lifting import lift_power, pattern_words, superpatterns
 from permpat.perms import (
     PatternSyntaxError,
     all_permutations,
@@ -159,6 +162,30 @@ def test_check_permutation():
         check_permutation((1, 3))
     with pytest.raises(ValueError):
         check_permutation((0, 1))
+
+
+# every length, alphabet bound, lift power and n_max goes through check_int
+_INT_ARGUMENTS = {
+    "count_avoiders": lambda v: count_avoiders(v, [(1, 2)]),
+    "count_table": lambda v: count_table([(1, 2)], v),
+    "count_tables": lambda v: count_tables([[(1, 2)]], v),
+    "avoiders_by_length": lambda v: avoiders_by_length(v, [(1, 2)]),
+    "enumerate_avoiders": lambda v: enumerate_avoiders(v, [(1, 2)]),
+    "lift_power": lambda v: lift_power([(1, 2)], v),
+    "pattern_words": lambda v: pattern_words((1, 2), v),
+    "superpatterns": lambda v: superpatterns((1, 2), v),
+    "verify": lambda v: verify(v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INT_ARGUMENTS))
+@pytest.mark.parametrize("value", [True, 2.0, 3.0], ids=["True", "2.0", "3.0"])
+def test_lengths_and_powers_must_be_ints(name, value):
+    # True == 1 and 2.0 == 2, but neither is a length: each call raises
+    # ValueError, as its docstring says, rather than count, lift or hit a
+    # TypeError inside
+    with pytest.raises(ValueError, match="must be an int"):
+        _INT_ARGUMENTS[name](value)
 
 
 def test_literal_round_trip():

@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permpat.catalog import expand_universe
 from permpat.enumeration import count_avoiders, count_table
-from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set, pattern_set_key
+from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set, pattern_key, pattern_set_key
 from permpat.symmetry import (
     apply_op,
     apply_set,
@@ -156,6 +156,32 @@ def test_partition_pairs_catalog_universes():
 def test_partition_single_input():
     classes = partition_into_classes([parse_pattern_set("132;4321")])
     assert len(classes) == 1
+
+
+def test_empty_set_is_its_own_orbit():
+    # the empty set has no pattern whose images could be zipped into members
+    o = orbit(frozenset())
+    assert o.members == frozenset({frozenset()}) and o.representative == frozenset()
+    assert partition_into_classes([[]]) == [o]
+
+
+_MIXED_SETS = st.frozensets(
+    st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple), max_size=5
+)
+
+
+@settings(deadline=None, max_examples=100)
+@example([frozenset({(2, 1), (1, 2, 3)}), frozenset({(1, 2, 3), (3, 2, 1)})])
+@given(st.lists(_MIXED_SETS, min_size=2, max_size=8))
+def test_pattern_set_key_orders_by_size_then_length_then_lexicographically(sets):
+    # the canonical order: cardinality, then the patterns listed by length
+    # and, within one length, lexicographically, compared as tuples
+    def reference(s):
+        return (len(s), tuple(sorted(s, key=pattern_key)))
+
+    assert sorted(sets, key=pattern_set_key) == sorted(sets, key=reference)
+    for s in sets:
+        assert pattern_set_key(s) == reference(s)
 
 
 def test_catalan_pairs_orbit_sizes_sum_sixty():
