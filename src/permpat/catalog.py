@@ -592,7 +592,7 @@ def _check_pair(
             if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
         )
     return PairCheck(
-        pattern_set=s, row_id=entry.row_id, valid_from=entry.valid_from,
+        pattern_set=s, row_id=entry.row_id, valid_from=vf,
         counts=counts, formula_values=values,
         verdict="mismatch" if mismatch_ns else "match", mismatch_ns=mismatch_ns,
     )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from permpat.catalog import expand_universe
 from permpat.enumeration import count_avoiders, count_table
-from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set, pattern_key, pattern_set_key
+from permpat.perms import all_permutations, format_pattern_set, parse_pattern_set, pattern_set_key
 from permpat.symmetry import (
     apply_op,
     apply_set,
@@ -177,7 +177,7 @@ def test_pattern_set_key_orders_by_size_then_length_then_lexicographically(sets)
     # the canonical order: cardinality, then the patterns listed by length
     # and, within one length, lexicographically, compared as tuples
     def reference(s):
-        return (len(s), tuple(sorted(s, key=pattern_key)))
+        return (len(s), tuple(sorted(s, key=lambda p: (len(p), p))))
 
     assert sorted(sets, key=pattern_set_key) == sorted(sets, key=reference)
     for s in sets:
