@@ -103,12 +103,13 @@ def _split(s: PatternSet) -> _Parts:
     return _Parts(s, frozenset(threes), fours[0] if len(fours) == 1 else None)
 
 
-# whether each length-4 pattern contains each length-3 one, computed once
-_CONTAINS = {(tau, a): contains(tau, a) for tau in S4 for a in S3}
+# the length-3 patterns that each length-4 pattern contains: the 144 facts of
+# S4 x S3, computed once
+_CONTAINED = {tau: frozenset(a for a in S3 if contains(tau, a)) for tau in S4}
 
 
 def _tau_contains_member(x: _Parts) -> bool:
-    return any(_CONTAINS[x.tau, a] for a in x.threes)
+    return not _CONTAINED[x.tau].isdisjoint(x.threes)
 
 
 def _orbit_union(*literals: str) -> frozenset[PatternSet]:

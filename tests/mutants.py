@@ -56,8 +56,8 @@ MUTANTS = [
      'accumulate("ririri",',
      "six steps of r and i miss the eighth symmetry of the square"),
     ("contains-facts-reversed", CATALOG,
-     "_CONTAINS = {(tau, a): contains(tau, a) for tau in S4 for a in S3}",
-     "_CONTAINS = {(tau, a): contains(a, tau) for tau in S4 for a in S3}",
+     "_CONTAINED = {tau: frozenset(a for a in S3 if contains(tau, a)) for tau in S4}",
+     "_CONTAINED = {tau: frozenset(a for a in S3 if contains(a, tau)) for tau in S4}",
      "the predicate rows ask whether the length-4 pattern contains a length-3 one"),
     ("formula-values-by-row", CATALOG,
      "    claimed = {s: e.formula for s, e in entries.items() if e is not None}\n"
