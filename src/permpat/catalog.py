@@ -545,27 +545,12 @@ class VerificationReport(NamedTuple):
         return rows
 
 
-def _fit_conjecture(counts: tuple[int, ...]) -> Optional[str]:
-    # label an uncovered pair with a matching closed form, if a simple variant
-    # fits exactly with at least three confirming values
+def _zero_conjecture(counts: tuple[int, ...]) -> Optional[str]:
+    # label an uncovered pair whose counts are 0 from some n0 on, at three or more n
     n_max = len(counts) - 1
-    candidates: list[tuple[CountFormula, int]] = [(Catalan(), 1), (PowerLinear(0, 1, -1, (), 0), 1)]
     for n0 in range(1, n_max - 1):
-        if all(c == 0 for c in counts[n0:]):
-            candidates.insert(0, (ZeroBeyond(n0), n0))
-            break
-    for n0 in range(1, n_max - 1):
-        if counts[n0] != 0 and len(set(counts[n0:])) == 1:
-            candidates.append((BinomialPoly((), counts[n0]), n0))
-            break
-    a = counts[n_max] - counts[n_max - 1]
-    candidates.append((BinomialPoly(((a, 0, 1),), counts[n_max] - a * n_max), max(1, n_max - 4)))
-    for formula, n0 in candidates:
-        if n_max - n0 < 2:
-            continue
-        if all(evaluate(formula, n) == counts[n] for n in range(n0, n_max + 1)):
-            prefix = f"for n>={n0}: " if n0 > 1 else ""
-            return f"conjecture: {prefix}{render(formula)}"
+        if not any(counts[n0:]):
+            return "conjecture: " + (f"for n>={n0}: " if n0 > 1 else "") + render(ZeroBeyond(n0))
     return None
 
 
@@ -577,7 +562,7 @@ def _check_pair(
         return PairCheck(
             pattern_set=s, row_id=None, valid_from=None, counts=counts,
             formula_values=None, verdict="uncovered",
-            conjecture=_fit_conjecture(counts),
+            conjecture=_zero_conjecture(counts),
         )
     # a listed family must also equal the oracle's avoider set, not just its
     # size; one collecting walk lists the avoiders of every n

@@ -183,15 +183,9 @@ def pattern_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
     return frozenset(check_permutation(p) for p in patterns)
 
 
-def pattern_key(p: Perm) -> tuple[int, Perm]:
-    # total order: length first, then one-line lexicographic
-    return (len(p), p)
-
-
 def pattern_set_key(s: PatternSet):
-    # total order on pattern sets: cardinality, then the pattern list sorted as
-    # pattern_key sorts it; a stable sort by length of the lexicographic order
-    # gives that list with no Python call per pattern
+    # cardinality, then the patterns by length, then one-line lexicographic; a
+    # stable sort by length of the sorted list needs no Python call per pattern
     return (len(s), tuple(sorted(sorted(s), key=len)))
 
 
@@ -214,7 +208,7 @@ def format_pattern_set(s: PatternSet) -> str:
     >>> format_pattern_set(frozenset({(1, 2, 3), (3, 4, 1, 2)}))
     '123;3412'
     """
-    return ";".join(format_permutation(p) for p in sorted(s, key=pattern_key))
+    return ";".join(format_permutation(p) for p in pattern_set_key(s)[1])
 
 
 def _parse_word(text: str, offset: int = 0) -> list[int]:

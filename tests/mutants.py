@@ -150,6 +150,10 @@ MUTANTS = [
      "if family or values[vf - 1 :] != counts[vf:]:",
      "if family or values[vf:] != counts[vf + 1 :]:",
      "the one-step pair check must compare the count at n = valid_from too"),
+    ("zero-conjecture-two-values", CATALOG,
+     "for n0 in range(1, n_max - 1):",
+     "for n0 in range(1, n_max):",
+     "a zero conjecture needs three or more n to confirm it, not two"),
     ("set-key-without-length-sort", PERMS,
      "return (len(s), tuple(sorted(sorted(s), key=len)))",
      "return (len(s), tuple(sorted(s)))",

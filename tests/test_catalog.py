@@ -258,9 +258,11 @@ def test_classify_examples():
         assert claim == (row_id, formula, valid_from), literal
 
 
-def test_fit_conjecture_renders_unit_slopes():
-    assert catalog._fit_conjecture((0, 4, 5, 6, 7, 8, 9)) == "conjecture: for n>=2: n+3"
-    assert catalog._fit_conjecture((0, 9, 8, 7, 6, 5, 4)) == "conjecture: for n>=2: -n+10"
+def test_zero_conjecture_needs_three_zeros():
+    assert catalog._zero_conjecture((1, 1, 2, 0, 0)) is None
+    assert catalog._zero_conjecture((1, 1, 2, 0, 0, 0)) == "conjecture: for n>=3: 0 (n>=3)"
+    # a Catalan tail is left unlabelled; zero is the one form the rule tries
+    assert catalog._zero_conjecture((1, 1, 2, 5, 14, 42, 132)) is None
 
 
 def test_explicit_families_match_independent_oracle():
@@ -330,9 +332,9 @@ def test_verify_report_serialization():
 
 def test_uncovered_pairs_get_conjectures():
     report = verify(6)
+    assert len(report.table(4).uncovered) == 24
     for pair in report.table(4).uncovered:
-        assert pair.conjecture is not None
-        assert "0 (n>=3)" in pair.conjecture
+        assert pair.conjecture == "conjecture: for n>=3: 0 (n>=3)"
 
 
 def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):

@@ -113,6 +113,8 @@ def test_render_strings():
     assert render(Catalan()) == "C(2n,n)/(n+1)"
     assert render(BinomialPoly(((2, 0, 1),), -2)) == "2n-2"
     assert render(BinomialPoly(((1, 0, 1),))) == "n"
+    assert render(BinomialPoly(((1, 0, 1),), 3)) == "n+3"
+    assert render(BinomialPoly(((-1, 0, 1),), 10)) == "-n+10"
     assert "C(n,2)" in render(BinomialPoly(((1, 0, 2),), 1))
     assert "f(2n-1)" in render(FibonacciForm(2, -1, 0))
     assert "2^(n-1)" in render(PowerLinear(0, 1, -1, (), 0))
