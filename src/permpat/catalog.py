@@ -84,23 +84,30 @@ class CatalogIntegrityError(RuntimeError):
 
 
 class _Parts(NamedTuple):
-    """A set with its length-3 patterns and its one length-4 pattern (None
-    unless it has exactly one); the rows read these of each set many times,
-    so ``assign_entries`` splits each set once."""
+    """A set with its length-3 patterns, its one length-4 pattern (None
+    unless it has exactly one) and its table (None outside the universes);
+    the rows read these of each set many times, so ``_parts`` places each
+    set once."""
 
     s: PatternSet
     threes: frozenset[Perm]
     tau: Optional[Perm]
+    table: Optional[int]
 
 
-def _split(s: PatternSet) -> _Parts:
+def _parts(s: PatternSet) -> _Parts:
     threes, fours = [], []
     for p in s:
         if len(p) == 3:
             threes.append(p)
         elif len(p) == 4:
             fours.append(p)
-    return _Parts(s, frozenset(threes), fours[0] if len(fours) == 1 else None)
+    threes, tau = frozenset(threes), fours[0] if len(fours) == 1 else None
+    if tau in _S4 and threes and threes <= _S3 and len(threes) + 1 == len(s):
+        if {type(v) for p in s for v in p} == {int}:
+            return _Parts(s, threes, tau, min(len(threes), 4))
+    pattern_set(s)
+    return _Parts(s, threes, tau, None)
 
 
 # the length-3 patterns that each length-4 pattern contains: the 144 facts of
@@ -179,10 +186,8 @@ def _member_of(members: frozenset[PatternSet]) -> Callable[[_Parts], bool]:
     return lambda x: x.s in members
 
 
-def _zero_matches(x: _Parts, strict: bool = False) -> bool:
+def _zero_matches(x: _Parts) -> bool:
     t3, tau = x.threes, x.tau
-    if strict and len(t3) == 6:
-        return False
     return ({P123, P321} <= t3) or (P123 in t3 and tau == P4321) or (P321 in t3 and tau == P1234)
 
 
@@ -306,7 +311,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(4, "4.zero", "strict subsets T with 123,321 in T; or 123 in T and t=4321; "
                           "or 321 in T and t=1234", 348,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
-             matches=lambda x: _zero_matches(x, strict=True)),
+             matches=lambda x: len(x.threes) < 6 and _zero_matches(x)),
     TableRow(4, "4.two", "|T|=4 without {123,321}, t contains a member", 100,
              "Simion-Schmidt; containment reduction", BinomialPoly((), 2), 2,
              matches=lambda x: len(x.threes) == 4
@@ -320,6 +325,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              or x.s in _SINGLETON_ORBITS,
              per_set=lambda x: (BinomialPoly((), 1), 3 if len(x.threes) == 5 else 4)),
 )
+_ROWS = {tid: tuple(row for row in TABLE_ROWS if row.table == tid) for tid in (1, 2, 3, 4)}
 
 
 class CatalogEntry(NamedTuple):
@@ -354,15 +360,7 @@ def table_of(s: PatternSet) -> Optional[int]:
     permutation raises ValueError: if the set has the universes' shape, its
     members are looked up in S_3 and S_4 and their entries must be ints (True
     == 1 and 2.0 == 2 pass the lookups); otherwise ``pattern_set`` checks it."""
-    return _table_of(_split(s))
-
-
-def _table_of(x: _Parts) -> Optional[int]:
-    if x.tau in _S4 and x.threes and x.threes <= _S3 and len(x.threes) + 1 == len(x.s):
-        if {type(v) for p in x.s for v in p} == {int}:
-            return min(len(x.threes), 4)
-    pattern_set(x.s)
-    return None
+    return _parts(s).table
 
 
 def _entry_for(row: TableRow, x: _Parts) -> CatalogEntry:
@@ -377,24 +375,15 @@ def _entry_for(row: TableRow, x: _Parts) -> CatalogEntry:
     )
 
 
-def _rows_by_table() -> dict[int, list[TableRow]]:
-    # read at call time, so that a replaced TABLE_ROWS applies
-    rows: dict[int, list[TableRow]] = {}
-    for row in TABLE_ROWS:
-        rows.setdefault(row.table, []).append(row)
-    return rows
-
-
 def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
     """Map each set to the entry of the one row it satisfies, or None; ``verify``
     and ``classify`` both match sets to rows here.  Raises ValueError on a
     malformed set and CatalogIntegrityError on a set that satisfies two rows."""
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
-    rows = _rows_by_table()
     for s in universe:
-        x = _split(s)
+        x = _parts(s)
         # None outside the four universes, so no row is hit
-        hits = [row for row in rows.get(_table_of(x), ()) if row.matches(x)]
+        hits = [row for row in _ROWS.get(x.table, ()) if row.matches(x)]
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")
@@ -472,7 +461,7 @@ class TableAudit:
     def __init__(self, table_id: int, checks: list[PairCheck]) -> None:
         self.table_id, self.checks = table_id, checks
         tally = Counter((c.row_id, c.verdict) for c in checks)
-        rows = _rows_by_table().get(table_id, [])
+        rows = _ROWS.get(table_id, ())
         self.rows = [
             RowAudit(
                 row_id=row.row_id, representative=row.representative, claimed_size=row.claimed_size,
@@ -555,8 +544,8 @@ def _zero_conjecture(counts: tuple[int, ...]) -> Optional[str]:
 
 
 def _check_pair(
-    s: PatternSet, entry: Optional[CatalogEntry], counts: tuple[int, ...], values: Optional[tuple[int, ...]],
-    n_max: int,
+    s: PatternSet, entry: Optional[CatalogEntry], counts: tuple[int, ...],
+    formula_values: dict[CountFormula, tuple[int, ...]], n_max: int,
 ) -> PairCheck:
     if entry is None:
         return PairCheck(
@@ -567,7 +556,7 @@ def _check_pair(
     # a listed family must also equal the oracle's avoider set, not just its
     # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
-    vf = entry.valid_from
+    values, vf = formula_values[entry.formula], entry.valid_from
     mismatch_ns: tuple[int, ...] = ()
     # the common case, every count from the threshold on as claimed, is one
     # tuple comparison; the mismatched n are listed only when there are some
@@ -600,11 +589,12 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     member.
 
     Around that walk the bookkeeping runs in this process: the universes come
-    in canonical order with no sort, each set is split once and tried only
-    against its own table's rows, and a set's counts from its threshold on are
-    compared with its formula's values in one step; the mismatched n are
-    listed only when there are some, and an explicit family's set is always
-    checked.  The findings count the 24 sets {213, 321, tau} in one walk.
+    in canonical order with no sort, each set is placed in its table once
+    and tried only against that table's rows, and a set's counts from its
+    threshold on are compared with its formula's values in one step; the
+    mismatched n are listed only when there are some, and an explicit
+    family's set is always checked.  The findings count the 24 sets
+    {213, 321, tau} in one walk.
     """
     check_int(n_max, "n_max", 1)
     started = time.perf_counter()
@@ -615,12 +605,10 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     tables = count_tables([o.representative for o in orbits], n_max, jobs)
     counts = {m: table.counts for o, table in zip(orbits, tables) for m in o.members}
     # one evaluation per distinct formula, keyed by formula, not row: a row's sets may differ
-    claimed = {s: e.formula for s, e in entries.items() if e is not None}
-    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in set(claimed.values())}
+    formulas = {e.formula for e in entries.values() if e is not None}
+    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in formulas}
     audits = [
-        TableAudit(tid, [
-            _check_pair(s, entries[s], counts[s], values.get(claimed.get(s)), n_max) for s in universe
-        ])
+        TableAudit(tid, [_check_pair(s, entries[s], counts[s], values, n_max) for s in universe])
         for tid, universe in universes.items()
     ]
     findings = _build_findings(n_max, audits)

@@ -34,15 +34,11 @@ from .symmetry import orbit
 DEFAULT_CAP = 11
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; the contract reserves 2 for
     # verification mismatches, so usage problems must exit 1 instead
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _cap() -> int:
@@ -52,15 +48,15 @@ def _cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"PERMPAT_NMAX_CAP is not an integer: {raw!r}")
+        raise ValueError(f"PERMPAT_NMAX_CAP is not an integer: {raw!r}")
 
 
 def _check_cap(n: int) -> int:
     cap = _cap()
     if n > cap:
-        raise UsageError(f"n={n} exceeds the hard cap {cap} (set PERMPAT_NMAX_CAP to override)")
+        raise ValueError(f"n={n} exceeds the hard cap {cap} (set PERMPAT_NMAX_CAP to override)")
     if n < 0:
-        raise UsageError("n must be nonnegative")
+        raise ValueError("n must be nonnegative")
     return n
 
 
@@ -139,7 +135,7 @@ def _run(args) -> int:
     if args.command == "nu":
         t = parse_pattern_set(args.patterns)
         if args.power < 1:
-            raise UsageError("--power must be at least 1")
+            raise ValueError("--power must be at least 1")
         # the image is filtered out of all of S_{k+power}
         _check_cap(max(map(len, t), default=0) + args.power)
         image = lifting.lift_power(t, args.power)
@@ -201,7 +197,7 @@ def _run(args) -> int:
 
         _check_cap(args.nmax)
         if args.jobs is not None and args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
+            raise ValueError("--jobs must be at least 1")
         report = catalog.verify(args.nmax, jobs=args.jobs)
         if args.format == "json":
             _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
@@ -216,7 +212,7 @@ def _run(args) -> int:
             return 2
         return 0
 
-    raise UsageError(f"unknown command {args.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -224,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except (UsageError, ValueError, WorkerError, OSError) as exc:
+    except (ValueError, WorkerError, OSError) as exc:
         print(f"permpat: error: {exc}", file=sys.stderr)
         return 1
 

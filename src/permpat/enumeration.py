@@ -350,7 +350,11 @@ def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], worker
         for i in range(workers):
             r, w = os.pipe()
             sources.append(open(r, "rb"))
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(w)
+                raise
             if pid == 0:
                 code = 1
                 try:

@@ -60,10 +60,10 @@ MUTANTS = [
      "_CONTAINED = {tau: frozenset(a for a in S3 if contains(a, tau)) for tau in S4}",
      "the predicate rows ask whether the length-4 pattern contains a length-3 one"),
     ("formula-values-by-row", CATALOG,
-     "    claimed = {s: e.formula for s, e in entries.items() if e is not None}\n"
-     "    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in set(claimed.values())}\n",
-     "    claimed = {s: e.row_id for s, e in entries.items() if e is not None}\n"
-     "    values = {e.row_id: tuple(evaluate(e.formula, n) for n in range(1, n_max + 1)) for e in entries.values() if e}\n",
+     "    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in formulas}\n",
+     "    by_row = {e.row_id: e.formula for e in entries.values() if e}\n"
+     "    values = {e.formula: tuple(evaluate(by_row[e.row_id], n) for n in range(1, n_max + 1))\n"
+     "              for e in entries.values() if e}\n",
      "some explicit families differ from their row's formula below the threshold, and each set's "
      "values must be its own formula's"),
     ("shared-scan-reused-for-sibling", ENUMERATION,
@@ -135,13 +135,21 @@ MUTANTS = [
      "if len(hits) > 2:",
      "a set that satisfies two rows is a catalog error"),
     ("table-of-unchecked", CATALOG,
-     "if x.tau in _S4 and x.threes and x.threes <= _S3 and len(x.threes) + 1 == len(x.s):",
-     "if x.tau is not None and x.threes and len(x.threes) + 1 == len(x.s):",
+     "if tau in _S4 and threes and threes <= _S3 and len(threes) + 1 == len(s):",
+     "if tau is not None and threes and len(threes) + 1 == len(s):",
      "a non-permutation member of a universe-shaped set must raise, not get a table"),
     ("table-of-type-unchecked", CATALOG,
-     "if {type(v) for p in x.s for v in p} == {int}:",
+     "if {type(v) for p in s for v in p} == {int}:",
      "if True:",
      "True == 1 and 2.0 == 2 pass the lookups in S_3 and S_4, so a set holding them must raise"),
+    ("table-id-not-capped", CATALOG,
+     "min(len(threes), 4)",
+     "len(threes)",
+     "the last table holds the sets with four, five and six length-3 patterns"),
+    ("zero-premise-dropped", CATALOG,
+     "len(x.threes) < 6 and _zero_matches(x)",
+     "_zero_matches(x)",
+     "row 4.zero covers strict subsets of S_3 only, so the 24 sets holding all six stay uncovered"),
     ("universe-tau-loop-outermost", CATALOG,
      "        for k in sizes\n        for threes in itertools.combinations(S3, k)\n        for tau in S4\n",
      "        for tau in S4\n        for k in sizes\n        for threes in itertools.combinations(S3, k)\n",

@@ -153,7 +153,7 @@ def test_assignment_is_unambiguous_everywhere():
 def test_double_row_match_raises(monkeypatch):
     catalan = next(row for row in TABLE_ROWS if row.row_id == "1.catalan")
     copy = catalan._replace(row_id="1.catalan-copy")
-    monkeypatch.setattr(catalog, "TABLE_ROWS", TABLE_ROWS + (copy,))
+    monkeypatch.setattr(catalog, "_ROWS", {**catalog._ROWS, 1: catalog._ROWS[1] + (copy,)})
     with pytest.raises(CatalogIntegrityError, match="1.catalan, 1.catalan-copy"):
         assign_entries([parse_pattern_set("123;1234")])
 

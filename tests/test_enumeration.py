@@ -443,6 +443,32 @@ def test_failed_worker_raises_and_leaves_no_child(dying_worker, cause):
     _no_child_left()
 
 
+def test_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
+    # the second fork fails after its result pipe was made: the call raises,
+    # both ends of that pipe are closed, the first worker is reaped and no
+    # table reaches the memo
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to count open file descriptors")
+    monkeypatch.setattr(enumeration, "_TABLE_CACHE", {})
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("no process left for the second worker")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    sets = [{(1, 3, 2)}, {(1, 2, 3)}, {(2, 1, 3)}, {(2, 1), (1, 2, 3, 4)}]
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="second worker"):
+        count_tables(sets, 7, jobs=2)
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    _no_child_left()
+    assert enumeration._TABLE_CACHE == {}
+
+
 def test_pool_streams_more_results_than_a_pipe_holds(monkeypatch):
     # each worker sends back the tallies of every set of the walk: 3,000 sets
     # {12, 21, q} that die at depth 2, plus {123}, which reaches the split,
