@@ -41,23 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _cap() -> int:
+def _check_cap(n: int) -> None:
     raw = os.environ.get("PERMPAT_NMAX_CAP")
-    if raw is None:
-        return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = DEFAULT_CAP if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"PERMPAT_NMAX_CAP is not an integer: {raw!r}")
-
-
-def _check_cap(n: int) -> int:
-    cap = _cap()
     if n > cap:
         raise ValueError(f"n={n} exceeds the hard cap {cap} (set PERMPAT_NMAX_CAP to override)")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return n
 
 
 def build_parser() -> _Parser:
@@ -120,19 +113,13 @@ def _run(args) -> int:
             print("none" if occ is None else " ".join(map(str, occ)))
         else:
             print("true" if contains(perm, pattern) else "false")
-        return 0
-
-    if args.command == "standardize":
+    elif args.command == "standardize":
         # standardize accepts arbitrary distinct letters, not just 1..n
         print(format_permutation(standardize(_parse_word(args.word))))
-        return 0
-
-    if args.command == "orbit":
+    elif args.command == "orbit":
         o = orbit(parse_pattern_set(args.patterns))
         print(json.dumps(o.to_json_dict(), indent=2))
-        return 0
-
-    if args.command == "nu":
+    elif args.command == "nu":
         t = parse_pattern_set(args.patterns)
         if args.power < 1:
             raise ValueError("--power must be at least 1")
@@ -140,9 +127,7 @@ def _run(args) -> int:
         _check_cap(max(map(len, t), default=0) + args.power)
         image = lifting.lift_power(t, args.power)
         print(format_pattern_set(image))
-        return 0
-
-    if args.command == "enumerate":
+    elif args.command == "enumerate":
         _check_cap(args.n)
         t = parse_pattern_set(args.patterns)
         avoiders = enumerate_avoiders(args.n, t)
@@ -160,15 +145,11 @@ def _run(args) -> int:
             writer = csv.writer(sys.stdout)
             for p in avoiders:
                 writer.writerow(p)
-        return 0
-
-    if args.command == "count":
+    elif args.command == "count":
         _check_cap(args.n)
         print(count_avoiders(args.n, parse_pattern_set(args.patterns)))
-        return 0
-
     # only classify and verify read the tables, so only they build them
-    if args.command == "classify":
+    elif args.command == "classify":
         from . import catalog
         from .formulas import render
 
@@ -190,9 +171,7 @@ def _run(args) -> int:
                 "citation": entry.citation,
             }
         print(json.dumps(payload, indent=2))
-        return 0
-
-    if args.command == "verify":
+    elif args.command == "verify":
         from . import catalog
 
         _check_cap(args.nmax)
@@ -210,9 +189,7 @@ def _run(args) -> int:
         if bad:
             print(f"verification found {len(bad)} unexpected mismatches", file=sys.stderr)
             return 2
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

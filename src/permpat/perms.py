@@ -8,15 +8,21 @@ may mix lengths.
 Text format: a single permutation is written either as compact digits when
 every value is at most 9 ("3412") or as space/comma separated values
 ("11 3 1 ..."); a pattern set joins permutations with ";" ("123;3412").
+Digits are ASCII 0-9 only.  A separated value may carry a leading "-", which
+only ``standardize``'s words can use ("-5 3 0").
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
+
+# one separated value: ASCII digits with an optional leading minus
+_INT = re.compile(r"-?[0-9]+")
 
 
 class PatternSyntaxError(ValueError):
@@ -224,14 +230,13 @@ def _parse_word(text: str, offset: int = 0) -> list[int]:
         for tok in body.replace(",", " ").split():
             tok_at = offset + text.find(tok, pos)
             pos = text.find(tok, pos) + len(tok)
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise PatternSyntaxError(f"not an integer: {tok!r}", tok_at) from None
-    elif body.isdigit():
+            if not _INT.fullmatch(tok):
+                raise PatternSyntaxError(f"not an integer: {tok!r}", tok_at)
+            values.append(int(tok))
+    elif body.isascii() and body.isdigit():
         values = [int(ch) for ch in body]
     else:
-        bad = next(i for i, ch in enumerate(body) if not ch.isdigit())
+        bad = next(i for i, ch in enumerate(body) if ch not in "0123456789")
         raise PatternSyntaxError(f"unexpected character {body[bad]!r}", offset + lead + bad)
     return values
 

@@ -106,6 +106,10 @@ MUTANTS = [
      "type(self) is type(other) and tuple.__eq__(self, other)",
      "tuple.__eq__(self, other)",
      "Catalan() and TribonacciForm() are both (), and verify evaluates each distinct formula once"),
+    ("render-zero-coefficient", "src/permpat/formulas.py",
+     "        if c == 0:\n            continue\n",
+     "",
+     "a zero coefficient of a generating function is left out, not printed as 0x"),
     ("family-run-direction-flipped", CATALOG,
      '"123;132;231;3214": (((4, 2, 1, 3), 0, True),',
      '"123;132;231;3214": (((4, 2, 1, 3), 0, False),',
@@ -170,6 +174,14 @@ MUTANTS = [
      "if type(value) is not int or value < least:",
      "if value < least:",
      "True == 1 and 2.0 == 2, but a length, power or n_max of either must raise ValueError"),
+    ("literal-digits-not-ascii", PERMS,
+     "elif body.isascii() and body.isdigit():",
+     "elif body.isdigit():",
+     "str.isdigit admits Arabic-Indic, fullwidth and superscript digits; a literal's are ASCII 0-9"),
+    ("separated-letter-any-int", PERMS,
+     "if not _INT.fullmatch(tok):",
+     "if False:",
+     "int() reads '+1' and non-ASCII digits, and fails on others with no position"),
     ("inverse-unchecked", "src/permpat/symmetry.py",
      "enumerate(check_permutation(p), 1)",
      "enumerate(p, 1)",
@@ -178,6 +190,10 @@ MUTANTS = [
      "format_pattern_set(orbit(table.pattern_set).representative)",
      "format_pattern_set(table.pattern_set)",
      "classify prints the orbit's representative, which need not be the set"),
+    ("verify-mismatch-exits-zero", "src/permpat/cli.py",
+     "            return 2\n",
+     "            return 0\n",
+     "verify exits 2 when it finds mismatches outside the pre-registered findings"),
 ]
 
 EQUIVALENT = [

@@ -57,6 +57,7 @@ def test_count_table_examples():
     assert ct.counts[4] == 7 and ct.counts[5] == 12
     assert count_table(parse_pattern_set("123;312;1432"), 3).counts[3] == 4
     assert count_table(frozenset(), 4).counts == (1, 1, 2, 6, 24)
+    assert count_table([(1, 3, 2)], 6).n_max == 6
 
 
 def test_count_table_bounds():

@@ -119,3 +119,4 @@ def test_render_strings():
     assert "f(2n-1)" in render(FibonacciForm(2, -1, 0))
     assert "2^(n-1)" in render(PowerLinear(0, 1, -1, (), 0))
     assert "1-4x+5x^2-3x^3" in render(RationalGF((1, -3, 3, -1), (1, -4, 5, -3)))
+    assert render(RationalGF((1, 0, -1), (1, 0, -2))) == "[x^n] 1-x^2/(1-2x^2)"

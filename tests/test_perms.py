@@ -211,6 +211,12 @@ def test_parse_errors_carry_position():
         (parse_pattern_set, "123; 1x", 6, "unexpected character 'x'"),
         # a comma literal is tokenized once, so the bad token itself is named
         (parse_pattern_set, "1,2,x", 4, "not an integer: 'x'"),
+        # digits are ASCII 0-9, and a separated value has no other sign than "-"
+        (parse_permutation, "\u0661\u0662\u0663", 0, "unexpected character '\u0661'"),
+        (parse_permutation, "1\u00b23", 1, "unexpected character '\u00b2'"),
+        (parse_permutation, "\uff13\uff11\uff12", 0, "unexpected character '\uff13'"),
+        (parse_pattern_set, "1,\u0662", 2, "not an integer: '\u0662'"),
+        (parse_permutation, "+1 +2", 0, "not an integer: '+1'"),
     ):
         with pytest.raises(PatternSyntaxError) as err:
             parse(literal)
