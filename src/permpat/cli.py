@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error (bad literal, cap exceeded) or a failed
-run (a dead worker process, an unwritable --out path), 2 when ``verify``
-found formula/oracle mismatches outside the pre-registered findings.  The
-hard cap on n (default 11), which for ``nu`` bounds k + power, keeps runs
-desk-scale; override with the PERMPAT_NMAX_CAP environment variable.
+Exit codes: 0 success, 1 usage error (bad literal or number, cap exceeded)
+or a failed run (a dead worker process, an unwritable --out path), 2 when
+``verify`` found formula/oracle mismatches outside the pre-registered
+findings.  The hard cap on n (default 11), which for ``nu`` bounds k + power,
+keeps runs desk-scale; override with the PERMPAT_NMAX_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from . import lifting
 from .enumeration import WorkerError, count_avoiders, enumerate_avoiders
 from .perms import (
+    _INT,
     _parse_word,
     contains,
     find_occurrence,
@@ -31,8 +32,6 @@ from .perms import (
 )
 from .symmetry import orbit
 
-DEFAULT_CAP = 11
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; the contract reserves 2 for
@@ -41,16 +40,27 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _check_cap(n: int) -> None:
-    raw = os.environ.get("PERMPAT_NMAX_CAP")
-    try:
-        cap = DEFAULT_CAP if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"PERMPAT_NMAX_CAP is not an integer: {raw!r}")
+def _number(text: str, name: str, least: int) -> int:
+    # the one reader of a number from outside, by the rule of a separated
+    # literal value; argparse shows an ArgumentTypeError's text, not a ValueError's
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{name} is not an integer: {text!r}")
+    value = int(text)
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _check_cap(n: int) -> int:
+    cap = _number(os.environ.get("PERMPAT_NMAX_CAP", "11"), "PERMPAT_NMAX_CAP", 0)
     if n > cap:
-        raise ValueError(f"n={n} exceeds the hard cap {cap} (set PERMPAT_NMAX_CAP to override)")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise argparse.ArgumentTypeError(f"n={n} exceeds the hard cap {cap} (set PERMPAT_NMAX_CAP to override)")
+    return n
+
+
+def _length(text: str) -> int:
+    return _check_cap(_number(text, "n", 0))
 
 
 def build_parser() -> _Parser:
@@ -70,26 +80,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nu", help="length k+1 patterns containing a member of the set")
     p.add_argument("--set", dest="patterns", required=True)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=lambda text: _number(text, "power", 1), default=1)
 
     p = sub.add_parser("enumerate", help="list the avoiders of a pattern set")
     p.add_argument("--set", dest="patterns", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_length, required=True)
     p.add_argument("--format", choices=("lines", "json", "csv"), default="lines")
 
     p = sub.add_parser("count", help="count the avoiders of a pattern set")
     p.add_argument("--set", dest="patterns", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_length, required=True)
 
+    # argparse passes a default through the type only if it is a string
     p = sub.add_parser("classify", help="catalog row and oracle counts for a pattern set")
     p.add_argument("--set", dest="patterns", required=True)
-    p.add_argument("--nmax", type=int, default=9)
+    p.add_argument("--nmax", type=_length, default="9")
 
     p = sub.add_parser("verify", help="verify every table row against the oracle")
-    p.add_argument("--nmax", type=int, default=9)
+    p.add_argument("--nmax", type=_length, default="9")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=lambda text: _number(text, "jobs", 1), default=None)
 
     return parser
 
@@ -121,14 +132,11 @@ def _run(args) -> int:
         print(json.dumps(o.to_json_dict(), indent=2))
     elif args.command == "nu":
         t = parse_pattern_set(args.patterns)
-        if args.power < 1:
-            raise ValueError("--power must be at least 1")
         # the image is filtered out of all of S_{k+power}
         _check_cap(max(map(len, t), default=0) + args.power)
         image = lifting.lift_power(t, args.power)
         print(format_pattern_set(image))
     elif args.command == "enumerate":
-        _check_cap(args.n)
         t = parse_pattern_set(args.patterns)
         avoiders = enumerate_avoiders(args.n, t)
         if args.format == "lines":
@@ -142,18 +150,14 @@ def _run(args) -> int:
                 "avoiders": [format_permutation(p) for p in avoiders],
             }, indent=2))
         else:
-            writer = csv.writer(sys.stdout)
-            for p in avoiders:
-                writer.writerow(p)
+            csv.writer(sys.stdout).writerows(avoiders)
     elif args.command == "count":
-        _check_cap(args.n)
         print(count_avoiders(args.n, parse_pattern_set(args.patterns)))
     # only classify and verify read the tables, so only they build them
     elif args.command == "classify":
         from . import catalog
         from .formulas import render
 
-        _check_cap(args.nmax)
         entry, table = catalog.classify(parse_pattern_set(args.patterns), args.nmax)
         payload = {
             "set": format_pattern_set(table.pattern_set),
@@ -174,16 +178,12 @@ def _run(args) -> int:
     elif args.command == "verify":
         from . import catalog
 
-        _check_cap(args.nmax)
-        if args.jobs is not None and args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         report = catalog.verify(args.nmax, jobs=args.jobs)
         if args.format == "json":
             _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
         else:
             buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerows(report.to_csv_rows())
+            csv.writer(buf).writerows(report.to_csv_rows())
             _emit(buf.getvalue(), args.out)
         bad = report.unexpected_mismatches
         if bad:
@@ -193,11 +193,9 @@ def _run(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
-    except (ValueError, WorkerError, OSError) as exc:
+        return _run(build_parser().parse_args(argv))
+    except (ValueError, argparse.ArgumentTypeError, WorkerError, OSError) as exc:
         print(f"permpat: error: {exc}", file=sys.stderr)
         return 1
 

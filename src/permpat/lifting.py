@@ -23,7 +23,6 @@ from .perms import (
     check_permutation,
     contains,
     pattern_set,
-    standardize,
 )
 
 
@@ -47,13 +46,13 @@ def pattern_words(tau: Sequence[int], m: int) -> frozenset[tuple[int, ...]]:
 
 
 def superpatterns(tau: Sequence[int], m: int) -> PatternSet:
-    """All permutations in S_m containing tau; ValueError if m is not an int
-    of at least the length of tau.
+    """All permutations in S_m containing tau; ValueError if tau is not a
+    permutation or m is not an int of at least its length.
 
     >>> len(superpatterns((1, 3, 2), 4))
     10
     """
-    tau = standardize(tau)
+    tau = check_permutation(tau)
     if check_int(m, "length") < len(tau):
         raise ValueError(f"length {m} is smaller than the pattern length {len(tau)}")
     return frozenset(p for p in all_permutations(m) if _occurrence(p, tau) is not None)

@@ -46,7 +46,7 @@ def inverse(p: Perm) -> Perm:
 
 
 def apply_op(ops: str, p: Perm) -> Perm:
-    """Apply a word over the generators {r, i}, leftmost first.
+    """Apply a word over the generators {r, i}, lowercase only, leftmost first.
 
     >>> apply_op("ri", (2, 3, 1))
     (1, 3, 2)
@@ -54,9 +54,9 @@ def apply_op(ops: str, p: Perm) -> Perm:
     (2, 3, 1)
     """
     for ch in ops:
-        if ch in "rR":
+        if ch == "r":
             p = reverse(p)
-        elif ch in "iI":
+        elif ch == "i":
             p = inverse(p)
         else:
             raise ValueError(f"unknown symmetry generator {ch!r}")

@@ -194,6 +194,22 @@ MUTANTS = [
      "            return 2\n",
      "            return 0\n",
      "verify exits 2 when it finds mismatches outside the pre-registered findings"),
+    ("number-any-int", "src/permpat/cli.py",
+     "if not _INT.fullmatch(text):",
+     "if False:",
+     "int() reads non-ASCII digits, underscores, '+' and padding, which no literal value takes"),
+    ("jobs-flag-from-zero", "src/permpat/cli.py",
+     '_number(text, "jobs", 1)',
+     '_number(text, "jobs", 0)',
+     "--jobs 0 is refused at its flag, before the run starts"),
+    ("superpatterns-standardized", "src/permpat/lifting.py",
+     "    tau = check_permutation(tau)\n    if check_int(m, \"length\")",
+     "    from .perms import standardize\n\n    tau = standardize(tau)\n    if check_int(m, \"length\")",
+     "superpatterns reads tau as a permutation, so (True, 2) and (5, 9) raise as in pattern_words"),
+    ("capital-generator", "src/permpat/symmetry.py",
+     'if ch == "r":',
+     'if ch in "rR":',
+     "the generators are the lowercase r and i only"),
 ]
 
 EQUIVALENT = [

@@ -158,6 +158,15 @@ def test_usage_errors_exit_one(capsys):
         code, out, err = run(capsys, "verify", "--nmax", "1", "--jobs", jobs)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("permpat: error:")
+        # the flag's own bound refuses it, not the library's check behind it
+        assert "argument --jobs" in err
+    # a number is read like a separated literal value: ASCII digits only, with
+    # no sign but -, no underscore and no padding
+    for argv in (("count", "--set", "132", "--n", "٥"), ("count", "--set", "132", "--n", "+0_5"),
+                 ("count", "--set", "132", "--n", " 5"), ("verify", "--nmax", "1", "--jobs", "٢")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("permpat: error:")
 
 
 def test_cap_override(capsys, monkeypatch):
@@ -177,6 +186,18 @@ def test_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("PERMPAT_NMAX_CAP", "abc")
     code, _, err = run(capsys, "count", "--set", "132", "--n", "4")
     assert code == 1 and "PERMPAT_NMAX_CAP" in err
+    # the cap is read by the flags' rule, also where nu checks k + power
+    for raw in ("١٢", "1_2"):
+        monkeypatch.setenv("PERMPAT_NMAX_CAP", raw)
+        for argv in (("count", "--set", "132", "--n", "4"), ("nu", "--set", "132")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and "PERMPAT_NMAX_CAP" in err
+            assert err.count("\n") == 1 and err.startswith("permpat: error:")
+    # the default n_max of 9 must meet the cap as a given one does
+    monkeypatch.setenv("PERMPAT_NMAX_CAP", "8")
+    for argv in (("verify",), ("classify", "--set", "132")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "hard cap 8" in err
 
 
 def test_output_determinism(capsys):

@@ -80,6 +80,10 @@ def test_pattern_words_and_lift_reject_malformed_patterns():
         lift_power({(1, 3, 3)}, 2)
     with pytest.raises(ValueError, match="smaller than the pattern length"):
         superpatterns((1, 3, 2), 2)
+    # tau is read as a permutation, as pattern_words reads it, not standardized
+    for tau in ((True, 2), (5, 9)):
+        with pytest.raises(ValueError):
+            superpatterns(tau, 3)
 
 
 @settings(deadline=None, max_examples=30)

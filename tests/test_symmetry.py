@@ -54,6 +54,8 @@ def test_apply_op():
     assert apply_op("rr", (2, 3, 1)) == (2, 3, 1)
     with pytest.raises(ValueError):
         apply_op("x", (1, 2))
+    with pytest.raises(ValueError):
+        apply_op("R", (1, 2))
 
 
 def test_apply_set_examples():
