@@ -2,9 +2,13 @@
 
 Four universes are covered: a single length-3 pattern together with one
 length-4 pattern (144 sets), two length-3 patterns plus one length-4 (360),
-three plus one (480), and at least four plus one (528).  Each table row is
-either a predicate (evaluated with the containment test, never a hand-kept
-pair list) or a union of symmetry-class orbits of listed representatives.
+three plus one (480), and at least four plus one (528).  A table row claims a
+set by any of three clauses, as the printed rows do: the set lies in the
+orbits of listed representatives (``members``); its length-3 patterns T form
+one of the row's T-classes and its length-4 pattern contains a member of T, so
+forbidding that pattern changes nothing (``reduces``, the containment
+reduction, from computed containment facts); or it meets a stated condition
+(``matches``, on four rows).
 Where a row lists a set's avoiders verbatim, that set's formula is an
 ``ExplicitFamily`` from ``EXPLICIT_FAMILIES``, a skeleton with one point
 inflated into a monotone run per member; the verifier checks its size and its
@@ -115,10 +119,6 @@ def _parts(s: PatternSet) -> _Parts:
 _CONTAINED = {tau: frozenset(a for a in S3 if contains(tau, a)) for tau in S4}
 
 
-def _tau_contains_member(x: _Parts) -> bool:
-    return not _CONTAINED[x.tau].isdisjoint(x.threes)
-
-
 def _orbit_union(*literals: str) -> frozenset[PatternSet]:
     members: set[PatternSet] = set()
     for lit in literals:
@@ -178,12 +178,10 @@ class TableRow(NamedTuple):
     citation: str
     formula: CountFormula
     valid_from: int
-    matches: Callable[[_Parts], bool]
+    matches: Optional[Callable[[_Parts], bool]] = None
     per_set: Optional[Callable[[_Parts], tuple[CountFormula, int]]] = None
-
-
-def _member_of(members: frozenset[PatternSet]) -> Callable[[_Parts], bool]:
-    return lambda x: x.s in members
+    members: frozenset[PatternSet] = frozenset()
+    reduces: frozenset[PatternSet] = frozenset()
 
 
 def _zero_matches(x: _Parts) -> bool:
@@ -201,10 +199,6 @@ _2N2_ORBITS = _orbit_union(
     "123;312;1432", "123;312;2143", "123;312;2431",
     "123;312;3214", "123;312;3241", "123;312;3421",
 )
-_FIB2_ORBITS = _orbit_union("123;132;3241", "132;213;2341")
-_3N5_ORBITS = _orbit_union("123;132;3421", "123;213;3421")
-_TRIB_ORBITS = _orbit_union("123;132;3214", "123;213;1432", "132;213;1234")
-_N_SPECIAL_ORBIT = _orbit_union("123;132;213;3412")
 _THREE_ORBITS = _orbit_union(
     "123;132;231;3214", "123;132;231;4312", "123;132;231;4213",
     "123;213;231;1432", "123;213;231;4132", "123;213;231;4312",
@@ -230,82 +224,80 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     # ---- one length-3 pattern plus one length-4 pattern (144 sets)
     TableRow(1, "1.catalan", "{a,t}: t contains a", 60,
              "Knuth; containment reduction", Catalan(), 1,
-             matches=_tau_contains_member),
+             reduces=frozenset(frozenset({a}) for a in S3)),
     TableRow(1, "1.fibonacci-even", "cls{123,1432} and 8 companion classes", 46,
              "West", FibonacciForm(2, -1, 0), 1,
-             matches=_member_of(_orbit_union(
+             members=_orbit_union(
                  "123;1432", "123;2143", "123;2413", "132;1234", "132;2134",
-                 "132;2314", "132;2341", "132;3241", "132;3412"))),
+                 "132;2314", "132;2341", "132;3241", "132;3412")),
     TableRow(1, "1.power-linear", "cls{132,3421}, cls{132,4231}", 12,
              "West; Guibert", PowerLinear(1, -1, -2, (), 1), 1,
-             matches=_member_of(_orbit_union("132;3421", "132;4231"))),
+             members=_orbit_union("132;3421", "132;4231")),
     TableRow(1, "1.pow2-minus-triangle", "cls{123,2431}", 8,
              "West", PowerLinear(0, 3, -1, ((-1, 1, 2),), -1), 1,
-             matches=_member_of(_orbit_union("123;2431"))),
+             members=_orbit_union("123;2431")),
     TableRow(1, "1.quartic-poly", "cls{123,3421}", 4,
              "West", BinomialPoly(((1, 0, 4), (2, 0, 3), (1, 0, 1)), 0), 1,
-             matches=_member_of(_orbit_union("123;3421"))),
+             members=_orbit_union("123;3421")),
     TableRow(1, "1.rational-gf", "cls{132,3214}", 4,
              "West", RationalGF((1, -3, 3, -1), (1, -4, 5, -3)), 1,
-             matches=_member_of(_orbit_union("132;3214"))),
+             members=_orbit_union("132;3214")),
     TableRow(1, "1.quartic-poly-b", "cls{132,4321}", 4,
              "West", BinomialPoly(((1, 0, 4), (1, 1, 4), (1, 0, 2)), 1), 1,
-             matches=_member_of(_orbit_union("132;4321"))),
+             members=_orbit_union("132;4321")),
     TableRow(1, "1.zero", "cls{123,4321}", 2,
              "Erdos-Szekeres", ZeroBeyond(7), 7,
-             matches=_member_of(_orbit_union("123;4321"))),
+             members=_orbit_union("123;4321")),
     TableRow(1, "1.pow2-minus-cubic", "cls{123,3412}", 2,
              "Billey-Jockusch-Stanley", PowerLinear(0, 1, 1, ((-1, 1, 3), (-2, 0, 1)), -1), 1,
-             matches=_member_of(_orbit_union("123;3412"))),
+             members=_orbit_union("123;3412")),
     TableRow(1, "1.quintic-poly", "cls{123,4231}", 2,
              "West", BinomialPoly(((1, 0, 5), (2, 0, 4), (1, 0, 3), (1, 0, 2)), 1), 1,
-             matches=_member_of(_orbit_union("123;4231"))),
+             members=_orbit_union("123;4231")),
 
     # ---- two length-3 patterns plus one length-4 pattern (360 sets)
     TableRow(2, "2.pow2", "pair in the 2^(n-1) class, t contains a member", 160,
              "Simion-Schmidt; containment reduction", PowerLinear(0, 1, -1, (), 0), 1,
-             matches=lambda x: x.threes in _POW2_PAIRS and _tau_contains_member(x)),
+             reduces=_POW2_PAIRS),
     TableRow(2, "2.nn2", "pair in the C(n,2)+1 class with t containing a member, "
                          "or one of 13 listed classes (one corrected)", 118,
              "Simion-Schmidt; direct recurrences", BinomialPoly(((1, 0, 2),), 1), 1,
-             matches=lambda x: (x.threes in _NN2_PAIRS and _tau_contains_member(x))
-             or x.s in _NN2_ORBITS),
+             members=_NN2_ORBITS, reduces=_NN2_PAIRS),
     TableRow(2, "2.zero", "{123,321,t}; {123,a,4321}; {321,a,1234}", 32,
              "Erdos-Szekeres", ZeroBeyond(5), 5,
              matches=_zero_matches,
              per_set=lambda x: (ZeroBeyond(5), 5) if {P123, P321} <= x.threes else (ZeroBeyond(7), 7)),
     TableRow(2, "2.linear-2n", "cls{123,312,t}, t in {1432,2143,2431,3214,3241,3421}", 24,
              "direct recurrences", BinomialPoly(((2, 0, 1),), -2), 2,
-             matches=_member_of(_2N2_ORBITS)),
+             members=_2N2_ORBITS),
     TableRow(2, "2.fibonacci", "cls{123,132,3241}, cls{132,213,2341}", 12,
              "direct recurrences", FibonacciForm(1, 2, -1), 1,
-             matches=_member_of(_FIB2_ORBITS)),
+             members=_orbit_union("123;132;3241", "132;213;2341")),
     TableRow(2, "2.linear-3n", "cls{123,132,3421}, cls{123,213,3421}", 8,
              "direct recurrences", BinomialPoly(((3, 0, 1),), -5), 3,
-             matches=_member_of(_3N5_ORBITS)),
+             members=_orbit_union("123;132;3421", "123;213;3421")),
     TableRow(2, "2.tribonacci", "cls{123,132,3214}, cls{123,213,1432}, cls{132,213,1234}", 6,
              "three-term recurrence", TribonacciForm(), 1,
-             matches=_member_of(_TRIB_ORBITS)),
+             members=_orbit_union("123;132;3214", "123;213;1432", "132;213;1234")),
 
     # ---- three length-3 patterns plus one length-4 pattern (480 sets)
     TableRow(3, "3.linear-n", "T a count-n triple with t containing a member, "
                               "or cls{123,132,213,3412}", 282,
              "Simion-Schmidt; direct recurrence", BinomialPoly(((1, 0, 1),)), 1,
-             matches=lambda x: (x.threes in _N_TRIPLES and _tau_contains_member(x))
-             or x.s in _N_SPECIAL_ORBIT),
+             members=_orbit_union("123;132;213;3412"), reduces=_N_TRIPLES),
     TableRow(3, "3.zero", "123,321 in T; or 123 in T and t=4321; or 321 in T and t=1234", 108,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
              matches=_zero_matches,
              per_set=lambda x: (ZeroBeyond(7), 7) if x.s in _ZERO6_EXCEPTIONS else (ZeroBeyond(6), 6)),
     TableRow(3, "3.three", "13 listed classes (10 orbits)", 46,
              "explicit avoider lists", BinomialPoly((), 3), 3,
-             matches=_member_of(_THREE_ORBITS)),
+             members=_THREE_ORBITS),
     TableRow(3, "3.fibonacci", "T in the Fibonacci class, t contains a member", 38,
              "Simion-Schmidt; containment reduction", FibonacciForm(1, 1, 0), 1,
-             matches=lambda x: x.threes in _FIB_TRIPLES and _tau_contains_member(x)),
+             reduces=_FIB_TRIPLES),
     TableRow(3, "3.four", "cls{123,132,213,3421}, cls{123,132,213,4231} (corrected reps)", 6,
              "explicit avoider lists", BinomialPoly((), 4), 4,
-             matches=_member_of(_FOUR_ORBITS)),
+             members=_FOUR_ORBITS),
 
     # ---- at least four length-3 patterns plus one length-4 pattern (528 sets)
     TableRow(4, "4.zero", "strict subsets T with 123,321 in T; or 123 in T and t=4321; "
@@ -314,15 +306,13 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              matches=lambda x: len(x.threes) < 6 and _zero_matches(x)),
     TableRow(4, "4.two", "|T|=4 without {123,321}, t contains a member", 100,
              "Simion-Schmidt; containment reduction", BinomialPoly((), 2), 2,
-             matches=lambda x: len(x.threes) == 4
-             and not {P123, P321} <= x.threes and _tau_contains_member(x)),
+             reduces=frozenset(t for t in map(frozenset, itertools.combinations(S3, 4)) if not {P123, P321} <= t)),
     TableRow(4, "4.one", "|T|=5 with 123 (resp. 321) missing and t != 1234 (resp. 4321), "
                          "or one of 4 listed singleton classes", 56,
              "explicit avoider lists", BinomialPoly((), 1), 3,
-             matches=lambda x: (len(x.threes) == 5
-                                and ((P123 not in x.threes and x.tau != P1234)
-                                     or (P321 not in x.threes and x.tau != P4321)))
-             or x.s in _SINGLETON_ORBITS,
+             members=_SINGLETON_ORBITS,
+             matches=lambda x: len(x.threes) == 5
+             and ((P123 not in x.threes and x.tau != P1234) or (P321 not in x.threes and x.tau != P4321)),
              per_set=lambda x: (BinomialPoly((), 1), 3 if len(x.threes) == 5 else 4)),
 )
 _ROWS = {tid: tuple(row for row in TABLE_ROWS if row.table == tid) for tid in (1, 2, 3, 4)}
@@ -383,7 +373,9 @@ def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[
     for s in universe:
         x = _parts(s)
         # None outside the four universes, so no row is hit
-        hits = [row for row in _ROWS.get(x.table, ()) if row.matches(x)]
+        hits = [row for row in _ROWS.get(x.table, ()) if s in row.members
+                or (x.threes in row.reduces and not _CONTAINED[x.tau].isdisjoint(x.threes))
+                or (row.matches is not None and row.matches(x))]
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")

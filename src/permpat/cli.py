@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error (bad literal or number, cap exceeded)
-or a failed run (a dead worker process, an unwritable --out path), 2 when
-``verify`` found formula/oracle mismatches outside the pre-registered
-findings.  The hard cap on n (default 11), which for ``nu`` bounds k + power,
-keeps runs desk-scale; override with the PERMPAT_NMAX_CAP environment variable.
+or a failed run (a dead worker process, an unwritable --out path, a stdout
+that its reader closed, which alone prints no error line), 2 when ``verify``
+found formula/oracle mismatches outside the pre-registered findings.  The
+hard cap on n (default 11), which for ``nu`` bounds k + power, keeps runs
+desk-scale; override with the PERMPAT_NMAX_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _check_cap(n: int) -> int:
     return n
 
 
-def _length(text: str) -> int:
-    return _check_cap(_number(text, "n", 0))
+def _length(text: str, least: int = 0) -> int:
+    return _check_cap(_number(text, "n", least))
 
 
 def build_parser() -> _Parser:
@@ -97,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--nmax", type=_length, default="9")
 
     p = sub.add_parser("verify", help="verify every table row against the oracle")
-    p.add_argument("--nmax", type=_length, default="9")
+    p.add_argument("--nmax", type=lambda text: _length(text, 1), default="9")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--jobs", type=lambda text: _number(text, "jobs", 1), default=None)
@@ -194,7 +195,15 @@ def _run(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return _run(build_parser().parse_args(argv))
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the unwritten rest goes to /dev/null, or the flush at exit fails again (exit 120)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 1
     except (ValueError, argparse.ArgumentTypeError, WorkerError, OSError) as exc:
         print(f"permpat: error: {exc}", file=sys.stderr)
         return 1

@@ -301,7 +301,7 @@ def enumerate_avoiders(n: int, t: Iterable[Sequence[int]]) -> list[Perm]:
 
 
 # count tables are memoized per pattern set at the largest n seen so far;
-# _fill is the only function that writes here
+# _fill is the only function that reads or writes here
 _TABLE_CACHE: dict[PatternSet, tuple[int, ...]] = {}
 
 
@@ -389,14 +389,15 @@ def _pool(frontier: list[tuple], rec: Callable, tallies: list[list[int]], worker
             tally[:] = [a + b for a, b in zip(tally, part)]
 
 
-def _fill(sets: Iterable[PatternSet], n_max: int, jobs: Optional[int]) -> None:
-    """Make ``_TABLE_CACHE`` hold every set's table to at least ``n_max``."""
+def _fill(sets: list[PatternSet], n_max: int, jobs: Optional[int]) -> list[CountTable]:
+    """Fill ``_TABLE_CACHE`` to at least ``n_max`` and return the sets' tables."""
     check_int(n_max, "n_max")
     if jobs is not None:
         check_int(jobs, "jobs", 1)
     todo = [t for t in dict.fromkeys(sets) if len(_TABLE_CACHE.get(t, ())) <= n_max]
     if todo:
         _TABLE_CACHE.update(zip(todo, _compute_counts(todo, n_max, jobs or 1)))
+    return [CountTable(t, _TABLE_CACHE[t][: n_max + 1]) for t in sets]
 
 
 def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
@@ -406,9 +407,7 @@ def count_table(t: Iterable[Sequence[int]], n_max: int) -> CountTable:
     the number of nodes at depth n is the count itself.  Raises ValueError if
     n_max is not a nonnegative int or a member of t is not a permutation.
     """
-    patterns = pattern_set(t)
-    _fill([patterns], n_max, None)
-    return CountTable(patterns, _TABLE_CACHE[patterns][: n_max + 1])
+    return _fill([pattern_set(t)], n_max, None)[0]
 
 
 def count_avoiders(n: int, t: Iterable[Sequence[int]]) -> int:
@@ -433,6 +432,4 @@ def count_tables(sets: Sequence[Iterable[Sequence[int]]], n_max: int, jobs: Opti
     ``RuntimeError``, stores nothing and leaves no child process behind; the
     error names the type and message of any exception a worker raised.
     """
-    normalized = [pattern_set(t) for t in sets]
-    _fill(normalized, n_max, jobs)
-    return [CountTable(t, _TABLE_CACHE[t][: n_max + 1]) for t in normalized]
+    return _fill([pattern_set(t) for t in sets], n_max, jobs)

@@ -58,7 +58,7 @@ MUTANTS = [
     ("contains-facts-reversed", CATALOG,
      "_CONTAINED = {tau: frozenset(a for a in S3 if contains(tau, a)) for tau in S4}",
      "_CONTAINED = {tau: frozenset(a for a in S3 if contains(a, tau)) for tau in S4}",
-     "the predicate rows ask whether the length-4 pattern contains a length-3 one"),
+     "the containment reduction asks whether the length-4 pattern contains a length-3 one"),
     ("formula-values-by-row", CATALOG,
      "    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in formulas}\n",
      "    by_row = {e.row_id: e.formula for e in entries.values() if e}\n"
@@ -126,6 +126,14 @@ MUTANTS = [
      "elif n < p.valid_from:",
      "elif n <= p.valid_from:",
      "the threshold n itself is checked, not skipped"),
+    ("row-members-ignored", CATALOG,
+     "if s in row.members",
+     "if False",
+     "most rows claim their sets by listed orbits, which assign_entries must test"),
+    ("reduction-without-containment", CATALOG,
+     "(x.threes in row.reduces and not _CONTAINED[x.tau].isdisjoint(x.threes))",
+     "(x.threes in row.reduces)",
+     "the containment reduction claims a set only if its length-4 pattern contains a member of T"),
     ("per-set-ignored", CATALOG,
      "row.per_set(x) if row.per_set is not None else",
      "row.per_set(x) if False else",
@@ -198,6 +206,18 @@ MUTANTS = [
      "if not _INT.fullmatch(text):",
      "if False:",
      "int() reads non-ASCII digits, underscores, '+' and padding, which no literal value takes"),
+    ("verify-nmax-flag-from-zero", "src/permpat/cli.py",
+     "type=lambda text: _length(text, 1)",
+     "type=_length",
+     "verify --nmax 0 is refused at its flag, which the error names"),
+    ("closed-stdout-not-redirected", "src/permpat/cli.py",
+     "        os.dup2(devnull, 1)\n",
+     "",
+     "the unwritten rest of stdout must go to /dev/null, or the flush at exit fails again with exit 120"),
+    ("closed-stdout-flushed-at-exit", "src/permpat/cli.py",
+     "        sys.stdout.flush()  # a closed stdout raises here, not at exit\n",
+     "",
+     "output still buffered when main returns is written at exit, where a closed stdout exits 120"),
     ("jobs-flag-from-zero", "src/permpat/cli.py",
      '_number(text, "jobs", 1)',
      '_number(text, "jobs", 0)',

@@ -60,7 +60,7 @@ def test_table_of():
 
 
 def test_containment_facts_are_contains():
-    # the predicate rows read the 144 facts of S4 x S3 as, for each tau, the
+    # the containment reduction reads the 144 facts of S4 x S3 as, for each tau, the
     # set of the length-3 patterns it contains
     s3 = list(all_permutations(3))
     facts = {tau: frozenset(a for a in s3 if contains(tau, a)) for tau in all_permutations(4)}

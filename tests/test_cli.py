@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,11 @@ def test_usage_errors_exit_one(capsys):
         assert err.count("\n") == 1 and err.startswith("permpat: error:")
         # the flag's own bound refuses it, not the library's check behind it
         assert "argument --jobs" in err
+    # verify's --nmax starts at 1 at its flag, while classify answers at 0
+    code, out, err = run(capsys, "verify", "--nmax", "0")
+    assert code == 1 and out == "" and err.startswith("permpat: error: argument --nmax:")
+    code, out, _ = run(capsys, "classify", "--set", "123", "--nmax", "0")
+    assert code == 0 and json.loads(out)["counts"] == [1]
     # a number is read like a separated literal value: ASCII digits only, with
     # no sign but -, no underscore and no padding
     for argv in (("count", "--set", "132", "--n", "٥"), ("count", "--set", "132", "--n", "+0_5"),
@@ -254,6 +260,23 @@ def test_verify_unwritable_out_exits_one(tmp_path, capsys):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("permpat: error: ")
+
+
+def test_closed_stdout_exits_one_quietly():
+    # a reader that closes stdout early ends the command with exit code 1 and
+    # no error line; enumerate writes 1.7 MB, more than a pipe holds, and
+    # classify's few buffered lines reach the pipe only when main flushes them
+    src = Path(permpat.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    for argv, first in ((["enumerate", "--set", "4321", "--n", "9"], [b"123456789\n"]), (["classify", "--set", "123"], [])):
+        proc = subprocess.Popen([sys.executable, "-m", "permpat.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = [proc.stdout.readline() for _ in first]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err, head) == (1, b"", first)
 
 
 def test_verify_dead_worker_exits_one(dying_worker, capsys):
