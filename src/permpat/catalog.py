@@ -8,11 +8,13 @@ orbits of listed representatives (``members``); its length-3 patterns T form
 one of the row's T-classes and its length-4 pattern contains a member of T, so
 forbidding that pattern changes nothing (``reduces``, the containment
 reduction, from computed containment facts); or it meets a stated condition
-(``matches``, on four rows).
-Where a row lists a set's avoiders verbatim, that set's formula is an
-``ExplicitFamily`` from ``EXPLICIT_FAMILIES``, a skeleton with one point
-inflated into a monotone run per member; the verifier checks its size and its
-set against one collecting walk.  The findings are one table, ``_FINDINGS``.
+(``matches``: Erdos-Szekeres, the set meets both {123, 1234} and {321, 4321},
+on three zero rows, and |T| = 5 failing it on 4.one).  A row's ``claims``
+amend its formula and threshold for some sets: the zero sets dead only from
+n = 7, 4.one's singleton classes, and each set whose avoiders a row lists
+verbatim, whose claim is an ``ExplicitFamily`` from ``EXPLICIT_FAMILIES`` (one
+point of a skeleton inflated into a monotone run per member; the verifier
+checks its size and set in one collecting walk).  Findings: ``_FINDINGS``.
 
 Known misprints in the printed tables are pre-registered findings: the row
 encodings below already carry the corrected members, and ``verify`` recomputes
@@ -179,14 +181,15 @@ class TableRow(NamedTuple):
     formula: CountFormula
     valid_from: int
     matches: Optional[Callable[[_Parts], bool]] = None
-    per_set: Optional[Callable[[_Parts], tuple[CountFormula, int]]] = None
     members: frozenset[PatternSet] = frozenset()
     reduces: frozenset[PatternSet] = frozenset()
+    # the row's sets whose (formula, threshold) differ from the row's; never mutated
+    claims: dict[PatternSet, tuple[CountFormula, int]] = {}
 
 
 def _zero_matches(x: _Parts) -> bool:
-    t3, tau = x.threes, x.tau
-    return ({P123, P321} <= t3) or (P123 in t3 and tau == P4321) or (P321 in t3 and tau == P1234)
+    # Erdos-Szekeres: the set meets both {123, 1234} and {321, 4321}
+    return (P123 in x.threes or x.tau == P1234) and (P321 in x.threes or x.tau == P4321)
 
 
 _NN2_ORBITS = _orbit_union(
@@ -211,13 +214,16 @@ _SINGLETON_ORBITS = _orbit_union(
     "123;132;213;231;4312", "123;132;231;312;3214",
     "123;213;231;312;1432", "132;213;231;312;1234",
 )
+# the sets {123,a,4321} and {321,a,1234} keep one avoider at n = 6, none at 7
+_ZERO7_PAIR_ORBITS = _orbit_union("123;132;4321", "123;231;4321")
 # the stated zero threshold n >= 6 for three-triple sets fails for exactly
 # these four: each keeps one avoider at n = 6 and dies at n = 7
-_ZERO6_EXCEPTIONS = _orbit_union("123;132;213;4321", "123;231;312;4321")
+_ZERO7_TRIPLE_ORBITS = _orbit_union("123;132;213;4321", "123;231;312;4321")
 
 assert len(_NN2_ORBITS) == 50 and len(_2N2_ORBITS) == 24
 assert len(_THREE_ORBITS) == 46 and len(_FOUR_ORBITS) == 6
 assert len(_SINGLETON_ORBITS) == 10
+assert len(_ZERO7_PAIR_ORBITS) == 8 and len(_ZERO7_TRIPLE_ORBITS) == 4
 
 
 TABLE_ROWS: tuple[TableRow, ...] = (
@@ -265,8 +271,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              members=_NN2_ORBITS, reduces=_NN2_PAIRS),
     TableRow(2, "2.zero", "{123,321,t}; {123,a,4321}; {321,a,1234}", 32,
              "Erdos-Szekeres", ZeroBeyond(5), 5,
-             matches=_zero_matches,
-             per_set=lambda x: (ZeroBeyond(5), 5) if {P123, P321} <= x.threes else (ZeroBeyond(7), 7)),
+             matches=_zero_matches, claims=dict.fromkeys(_ZERO7_PAIR_ORBITS, (ZeroBeyond(7), 7))),
     TableRow(2, "2.linear-2n", "cls{123,312,t}, t in {1432,2143,2431,3214,3241,3421}", 24,
              "direct recurrences", BinomialPoly(((2, 0, 1),), -2), 2,
              members=_2N2_ORBITS),
@@ -287,17 +292,18 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              members=_orbit_union("123;132;213;3412"), reduces=_N_TRIPLES),
     TableRow(3, "3.zero", "123,321 in T; or 123 in T and t=4321; or 321 in T and t=1234", 108,
              "Erdos-Szekeres", ZeroBeyond(6), 6,
-             matches=_zero_matches,
-             per_set=lambda x: (ZeroBeyond(7), 7) if x.s in _ZERO6_EXCEPTIONS else (ZeroBeyond(6), 6)),
+             matches=_zero_matches, claims=dict.fromkeys(_ZERO7_TRIPLE_ORBITS, (ZeroBeyond(7), 7))),
     TableRow(3, "3.three", "13 listed classes (10 orbits)", 46,
              "explicit avoider lists", BinomialPoly((), 3), 3,
-             members=_THREE_ORBITS),
+             members=_THREE_ORBITS,
+             claims={s: (f, 3) for s, f in EXPLICIT_FAMILIES.items() if s in _THREE_ORBITS}),
     TableRow(3, "3.fibonacci", "T in the Fibonacci class, t contains a member", 38,
              "Simion-Schmidt; containment reduction", FibonacciForm(1, 1, 0), 1,
              reduces=_FIB_TRIPLES),
     TableRow(3, "3.four", "cls{123,132,213,3421}, cls{123,132,213,4231} (corrected reps)", 6,
              "explicit avoider lists", BinomialPoly((), 4), 4,
-             members=_FOUR_ORBITS),
+             members=_FOUR_ORBITS,
+             claims={s: (f, 4) for s, f in EXPLICIT_FAMILIES.items() if s in _FOUR_ORBITS}),
 
     # ---- at least four length-3 patterns plus one length-4 pattern (528 sets)
     TableRow(4, "4.zero", "strict subsets T with 123,321 in T; or 123 in T and t=4321; "
@@ -310,10 +316,8 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(4, "4.one", "|T|=5 with 123 (resp. 321) missing and t != 1234 (resp. 4321), "
                          "or one of 4 listed singleton classes", 56,
              "explicit avoider lists", BinomialPoly((), 1), 3,
-             members=_SINGLETON_ORBITS,
-             matches=lambda x: len(x.threes) == 5
-             and ((P123 not in x.threes and x.tau != P1234) or (P321 not in x.threes and x.tau != P4321)),
-             per_set=lambda x: (BinomialPoly((), 1), 3 if len(x.threes) == 5 else 4)),
+             members=_SINGLETON_ORBITS, matches=lambda x: len(x.threes) == 5 and not _zero_matches(x),
+             claims={s: (EXPLICIT_FAMILIES.get(s, BinomialPoly((), 1)), 4) for s in _SINGLETON_ORBITS}),
 )
 _ROWS = {tid: tuple(row for row in TABLE_ROWS if row.table == tid) for tid in (1, 2, 3, 4)}
 
@@ -353,22 +357,11 @@ def table_of(s: PatternSet) -> Optional[int]:
     return _parts(s).table
 
 
-def _entry_for(row: TableRow, x: _Parts) -> CatalogEntry:
-    formula, valid_from = row.per_set(x) if row.per_set is not None else (row.formula, row.valid_from)
-    return CatalogEntry(
-        claimed_class_size=row.claimed_size,
-        formula=EXPLICIT_FAMILIES.get(x.s, formula),
-        valid_from=valid_from,
-        source_table=row.table,
-        citation=row.citation,
-        row_id=row.row_id,
-    )
-
-
 def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[CatalogEntry]]:
-    """Map each set to the entry of the one row it satisfies, or None; ``verify``
-    and ``classify`` both match sets to rows here.  Raises ValueError on a
-    malformed set and CatalogIntegrityError on a set that satisfies two rows."""
+    """Map each set to the entry of the one row it satisfies, or None, with the
+    row's ``claims`` for the set if any; ``verify`` and ``classify`` both match
+    sets to rows here.  Raises ValueError on a malformed set and
+    CatalogIntegrityError on a set that satisfies two rows."""
     out: dict[PatternSet, Optional[CatalogEntry]] = {}
     for s in universe:
         x = _parts(s)
@@ -379,7 +372,12 @@ def assign_entries(universe: Iterable[PatternSet]) -> dict[PatternSet, Optional[
         if len(hits) > 1:
             ids = ", ".join(r.row_id for r in hits)
             raise CatalogIntegrityError(f"{format_pattern_set(s)} matches contradictory rows: {ids}")
-        out[s] = _entry_for(hits[0], x) if hits else None
+        if hits:
+            row = hits[0]
+            formula, valid_from = row.claims.get(s, (row.formula, row.valid_from))
+            out[s] = CatalogEntry(row.claimed_size, formula, valid_from, row.table, row.citation, row.row_id)
+        else:
+            out[s] = None
     return out
 
 

@@ -101,13 +101,14 @@ def is_redundant(alpha: Sequence[int], tau: Sequence[int]) -> bool:
     """True iff forbidding tau alongside alpha changes no avoidance class.
 
     Requires len(alpha) < len(tau); equivalent to tau containing alpha.
+    Raises ValueError if either is not a permutation.
 
     >>> is_redundant((1, 2, 3), (1, 2, 3, 4))
     True
     >>> is_redundant((1, 3, 2), (4, 3, 2, 1))
     False
     """
-    alpha, tau = tuple(alpha), tuple(tau)
+    alpha, tau = check_permutation(alpha), check_permutation(tau)
     if len(alpha) >= len(tau):
         raise ValueError("redundancy test expects the first pattern to be strictly shorter")
     return contains(tau, alpha)

@@ -135,13 +135,21 @@ MUTANTS = [
      "(x.threes in row.reduces)",
      "the containment reduction claims a set only if its length-4 pattern contains a member of T"),
     ("per-set-ignored", CATALOG,
-     "row.per_set(x) if row.per_set is not None else",
-     "row.per_set(x) if False else",
-     "rows 2.zero, 3.zero and 4.one give some sets their own formula or threshold"),
+     "row.claims.get(s, (row.formula, row.valid_from))",
+     "(row.formula, row.valid_from)",
+     "rows 2.zero, 3.zero, 3.three, 3.four and 4.one give some sets their own formula or threshold"),
     ("explicit-family-dropped", CATALOG,
-     "formula=EXPLICIT_FAMILIES.get(x.s, formula),",
-     "formula=formula,",
-     "a set with a listed avoider family is claimed by that family"),
+     "CatalogEntry(row.claimed_size, formula,",
+     "CatalogEntry(row.claimed_size, row.formula,",
+     "a set with a listed avoider family is claimed by that family, not by its row's formula"),
+    ("family-claims-dropped", CATALOG,
+     "claims={s: (f, 3) for s, f in EXPLICIT_FAMILIES.items() if s in _THREE_ORBITS}",
+     "claims={}",
+     "the nine listed families of row 3.three are that row's claims, and only its claims give them"),
+    ("zero-rule-one-sided", CATALOG,
+     "return (P123 in x.threes or x.tau == P1234) and (P321 in x.threes or x.tau == P4321)",
+     "return P123 in x.threes or x.tau == P1234",
+     "Erdos-Szekeres needs both an increasing and a decreasing bound, so the set must meet both halves"),
     ("double-row-match-let-through", CATALOG,
      "if len(hits) > 1:",
      "if len(hits) > 2:",
@@ -226,6 +234,10 @@ MUTANTS = [
      "    tau = check_permutation(tau)\n    if check_int(m, \"length\")",
      "    from .perms import standardize\n\n    tau = standardize(tau)\n    if check_int(m, \"length\")",
      "superpatterns reads tau as a permutation, so (True, 2) and (5, 9) raise as in pattern_words"),
+    ("is-redundant-unchecked", "src/permpat/lifting.py",
+     "alpha, tau = check_permutation(alpha), check_permutation(tau)",
+     "alpha, tau = tuple(alpha), tuple(tau)",
+     "is_redundant reads both patterns as permutations, so (5, 9) and (9, 7, 8) raise"),
     ("capital-generator", "src/permpat/symmetry.py",
      'if ch == "r":',
      'if ch in "rR":',

@@ -258,6 +258,34 @@ def test_classify_examples():
         assert claim == (row_id, formula, valid_from), literal
 
 
+def test_every_per_set_claim_is_pinned():
+    # one line per set of the four universes, in universe order: its row, its
+    # own rendered formula and its threshold, or "-" if no row claims it
+    lines = []
+    for tid in (1, 2, 3, 4):
+        universe = expand_universe(tid)
+        entries = assign_entries(universe)
+        for s in universe:
+            e = entries[s]
+            claim = f"{e.row_id} {render(e.formula)} {e.valid_from}" if e else "-"
+            lines.append(f"{format_pattern_set(s)} {claim}\n")
+    text = "".join(lines).encode()
+    assert len(text) == 53_401
+    assert hashlib.sha256(text).hexdigest() == (
+        "99be20b3dab0a14d1658330023fc4441afb8e2d493f9c8f3dfaa3ee58abda368"
+    )
+
+
+def test_every_claim_is_its_rows_own():
+    # a row's claims amend its formula or threshold only for sets the row
+    # hits, so a claim on a set that some other row (or none) gets is dead data
+    for row in TABLE_ROWS:
+        for s, entry in assign_entries(row.claims).items():
+            assert entry is not None and entry.row_id == row.row_id, format_pattern_set(s)
+            assert row.claims[s] != (row.formula, row.valid_from), format_pattern_set(s)
+    assert sum(len(row.claims) for row in TABLE_ROWS) == 33
+
+
 def test_zero_conjecture_needs_three_zeros():
     assert catalog._zero_conjecture((1, 1, 2, 0, 0)) is None
     assert catalog._zero_conjecture((1, 1, 2, 0, 0, 0)) == "conjecture: for n>=3: 0 (n>=3)"

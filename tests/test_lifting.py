@@ -104,8 +104,9 @@ def test_lift_preserves_avoiders_small():
 def test_is_redundant():
     assert is_redundant((1, 2, 3), (1, 2, 3, 4))
     assert not is_redundant((1, 3, 2), (4, 3, 2, 1))
-    with pytest.raises(ValueError):
-        is_redundant((1, 2, 3), (1, 3, 2))
+    for alpha, tau in [((1, 2, 3), (1, 3, 2)), ((5, 9), (1, 2, 3)), ((1, 2), (9, 7, 8))]:
+        with pytest.raises(ValueError):
+            is_redundant(alpha, tau)
     for alpha in all_permutations(3):
         for tau in all_permutations(4):
             assert is_redundant(alpha, tau) == contains(tau, alpha)
