@@ -90,12 +90,10 @@ class CatalogIntegrityError(RuntimeError):
 
 
 class _Parts(NamedTuple):
-    """A set with its length-3 patterns, its one length-4 pattern (None
-    unless it has exactly one) and its table (None outside the universes);
-    the rows read these of each set many times, so ``_parts`` places each
-    set once."""
+    """A set's length-3 patterns, its one length-4 pattern (None unless it
+    has exactly one) and its table (None outside the universes); the rows
+    read these of each set many times, so ``_parts`` places each set once."""
 
-    s: PatternSet
     threes: frozenset[Perm]
     tau: Optional[Perm]
     table: Optional[int]
@@ -111,9 +109,9 @@ def _parts(s: PatternSet) -> _Parts:
     threes, tau = frozenset(threes), fours[0] if len(fours) == 1 else None
     if tau in _S4 and threes and threes <= _S3 and len(threes) + 1 == len(s):
         if {type(v) for p in s for v in p} == {int}:
-            return _Parts(s, threes, tau, min(len(threes), 4))
+            return _Parts(threes, tau, min(len(threes), 4))
     pattern_set(s)
-    return _Parts(s, threes, tau, None)
+    return _Parts(threes, tau, None)
 
 
 # the length-3 patterns that each length-4 pattern contains: the 144 facts of
@@ -412,7 +410,7 @@ class PairCheck(NamedTuple):
     row_id: Optional[str]
     valid_from: Optional[int]
     counts: tuple[int, ...]
-    formula_values: Optional[tuple[int, ...]]  # aligned with n = 1..n_max
+    formula_values: Optional[tuple[Optional[int], ...]]  # n = 1..n_max, None below the set's threshold
     verdict: str  # match | mismatch | uncovered
     mismatch_ns: tuple[int, ...] = ()
     conjecture: Optional[str] = None
@@ -422,43 +420,21 @@ class PairCheck(NamedTuple):
         return format_pattern_set(self.pattern_set)
 
 
-class RowAudit(NamedTuple):
-    row_id: str
-    representative: str
-    claimed_size: int
-    computed_size: int
-    formula: str
-    citation: str
-    matches: int
-    mismatches: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "row_id": self.row_id,
-            "representative": self.representative,
-            "claimed_size": self.claimed_size,
-            "computed_size": self.computed_size,
-            "formula": self.formula,
-            "citation": self.citation,
-            "verdicts": {"match": self.matches, "mismatch": self.mismatches},
-        }
-
-
 class TableAudit:
-    """A table's pair checks in universe order, and the audit derived from them
-    (``rows``, ``uncovered``, ``universe``, ``covered``, ``claimed_total``)."""
+    """A table's pair checks in universe order, and the audit derived from them:
+    ``rows``, one row audit per table row, built as the JSON object the report
+    prints (its claimed and computed class size and its verdict tally), then
+    ``uncovered``, ``universe``, ``covered`` and ``claimed_total``."""
 
     def __init__(self, table_id: int, checks: list[PairCheck]) -> None:
         self.table_id, self.checks = table_id, checks
         tally = Counter((c.row_id, c.verdict) for c in checks)
         rows = _ROWS.get(table_id, ())
         self.rows = [
-            RowAudit(
-                row_id=row.row_id, representative=row.representative, claimed_size=row.claimed_size,
-                computed_size=tally[row.row_id, "match"] + tally[row.row_id, "mismatch"],
-                formula=render(row.formula), citation=row.citation,
-                matches=tally[row.row_id, "match"], mismatches=tally[row.row_id, "mismatch"],
-            )
+            {"row_id": row.row_id, "representative": row.representative, "claimed_size": row.claimed_size,
+             "computed_size": tally[row.row_id, "match"] + tally[row.row_id, "mismatch"],
+             "formula": render(row.formula), "citation": row.citation,
+             "verdicts": {"match": tally[row.row_id, "match"], "mismatch": tally[row.row_id, "mismatch"]}}
             for row in rows
         ]
         self.uncovered = [c for c in checks if c.row_id is None]
@@ -469,7 +445,7 @@ class TableAudit:
     def to_json_dict(self) -> dict:
         return {
             "id": self.table_id,
-            "rows": [r.to_json_dict() for r in self.rows],
+            "rows": self.rows,
             "coverage": {
                 "universe": self.universe,
                 "covered": self.covered,
@@ -488,7 +464,6 @@ class VerificationReport(NamedTuple):
     tables: list[TableAudit]
     findings: list[dict]
     pairs: dict[PatternSet, PairCheck]
-    calibration: dict
 
     @property
     def unexpected_mismatches(self) -> list[PairCheck]:
@@ -504,7 +479,7 @@ class VerificationReport(NamedTuple):
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "tables": [t.to_json_dict() for t in self.tables],
             "findings": self.findings,
-            "calibration": self.calibration,
+            "calibration": CALIBRATION,
             "unexpected_mismatches": [p.literal for p in self.unexpected_mismatches],
         }
 
@@ -535,7 +510,7 @@ def _zero_conjecture(counts: tuple[int, ...]) -> Optional[str]:
 
 def _check_pair(
     s: PatternSet, entry: Optional[CatalogEntry], counts: tuple[int, ...],
-    formula_values: dict[CountFormula, tuple[int, ...]], n_max: int,
+    formula_values: dict[tuple[CountFormula, int], tuple[Optional[int], ...]], n_max: int,
 ) -> PairCheck:
     if entry is None:
         return PairCheck(
@@ -546,7 +521,7 @@ def _check_pair(
     # a listed family must also equal the oracle's avoider set, not just its
     # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
-    values, vf = formula_values[entry.formula], entry.valid_from
+    values, vf = formula_values[entry.formula, entry.valid_from], entry.valid_from
     mismatch_ns: tuple[int, ...] = ()
     # the common case, every count from the threshold on as claimed, is one
     # tuple comparison; the mismatched n are listed only when there are some
@@ -594,9 +569,9 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     orbits = partition_into_classes(members)
     tables = count_tables([o.representative for o in orbits], n_max, jobs)
     counts = {m: table.counts for o, table in zip(orbits, tables) for m in o.members}
-    # one evaluation per distinct formula, keyed by formula, not row: a row's sets may differ
-    formulas = {e.formula for e in entries.values() if e is not None}
-    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in formulas}
+    # one evaluation per distinct (formula, threshold), not per row: a row's sets may differ
+    claims = {(e.formula, e.valid_from) for e in entries.values() if e is not None}
+    values = {(f, vf): tuple(evaluate(f, n) if n >= vf else None for n in range(1, n_max + 1)) for f, vf in claims}
     audits = [
         TableAudit(tid, [_check_pair(s, entries[s], counts[s], values, n_max) for s in universe])
         for tid, universe in universes.items()
@@ -609,7 +584,6 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
         tables=audits,
         findings=findings,
         pairs={c.pattern_set: c for a in audits for c in a.checks},
-        calibration=CALIBRATION,
     )
 
 
@@ -750,7 +724,7 @@ _FINDINGS: tuple[tuple[str, str, str, str, Callable[[int, TableAudit], dict]], .
      "the 24 sets with all six length-3 patterns uncovered (surfaced with oracle "
      "counts)",
      lambda n_max, t4: {
-         "claimed_vs_computed": {r.row_id: (r.claimed_size, r.computed_size) for r in t4.rows},
+         "claimed_vs_computed": {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in t4.rows},
          "covered": t4.covered,
          "uncovered": len(t4.uncovered),
      }),

@@ -33,12 +33,15 @@ def inflate(skeleton: tuple[int, ...], i: int, descending: bool, n: int) -> tupl
     """Point i of ``skeleton`` blown up into a monotone run, for length n.
 
     The run holds v..v + n - len(skeleton) for v = skeleton[i], and the larger
-    entries move up with it, so every entry is linear in n.
+    entries move up with it, so every entry is linear in n; n must be at least
+    len(skeleton) - 1, where the run is empty, or ValueError is raised.
 
     >>> inflate((3, 1, 2), 1, True, 6), inflate((2, 1), 1, False, 4)
     ((6, 4, 3, 2, 1, 5), (4, 1, 2, 3))
     """
     v, shift = skeleton[i], n - len(skeleton)
+    if shift < -1:
+        raise ValueError(f"a skeleton of length {len(skeleton)} inflates for n >= {len(skeleton) - 1}, got {n}")
     run = range(v + shift, v - 1, -1) if descending else range(v, v + shift + 1)
     rest = [x + shift if x > v else x for x in skeleton]
     return (*rest[:i], *run, *rest[i + 1 :])
@@ -237,8 +240,9 @@ CountFormula = (
 
 
 def evaluate(formula: CountFormula, n: int) -> int:
-    """Exact value of a count formula at n >= 1 (n below a row's validity
-    threshold is still evaluable; the caller decides whether to compare)."""
+    """Exact value of a count formula at n >= 1; an explicit family raises
+    ValueError below the least n its skeletons inflate to (``verify`` evaluates
+    each claim from its own threshold on)."""
     return formula.eval(n)
 
 

@@ -60,12 +60,12 @@ MUTANTS = [
      "_CONTAINED = {tau: frozenset(a for a in S3 if contains(a, tau)) for tau in S4}",
      "the containment reduction asks whether the length-4 pattern contains a length-3 one"),
     ("formula-values-by-row", CATALOG,
-     "    values = {f: tuple(evaluate(f, n) for n in range(1, n_max + 1)) for f in formulas}\n",
-     "    by_row = {e.row_id: e.formula for e in entries.values() if e}\n"
-     "    values = {e.formula: tuple(evaluate(by_row[e.row_id], n) for n in range(1, n_max + 1))\n"
-     "              for e in entries.values() if e}\n",
-     "some explicit families differ from their row's formula below the threshold, and each set's "
-     "values must be its own formula's"),
+     "    values = {(f, vf): tuple(evaluate(f, n) if n >= vf else None for n in range(1, n_max + 1)) for f, vf in claims}\n",
+     "    by_row = {r.row_id: (r.formula, r.valid_from) for r in TABLE_ROWS}\n"
+     "    values = {(e.formula, e.valid_from): tuple(evaluate(by_row[e.row_id][0], n) if n >= by_row[e.row_id][1]\n"
+     "              else None for n in range(1, n_max + 1)) for e in entries.values() if e}\n",
+     "a set's claim may differ from its row's (2.zero's threshold-7 sets, 4.one's threshold-4 "
+     "classes), and each set's values must be its own formula's from its own threshold on"),
     ("shared-scan-reused-for-sibling", ENUMERATION,
      "if scan[0] is not child:",
      "if scan[0] is None or len(scan[0]) != len(child):",
@@ -98,6 +98,10 @@ MUTANTS = [
      "    split = -1\n",
      "    split = split\n",
      "below the frontier the walk must go to the leaves, or no node deeper than the split is counted"),
+    ("inflate-guard-off-by-one", "src/permpat/formulas.py",
+     "if shift < -1:",
+     "if shift < -2:",
+     "two entries short of a skeleton's length no permutation of 1..n is left, so inflate must raise"),
     ("inflate-run-too-long", "src/permpat/formulas.py",
      "range(v + shift, v - 1, -1) if descending",
      "range(v + shift + 1, v - 1, -1) if descending",
@@ -122,6 +126,14 @@ MUTANTS = [
      '"mismatch" if n in p.mismatch_ns else "match"',
      '"match" if n in p.mismatch_ns else "mismatch"',
      "the CSV grid must say mismatch exactly where the formula disagrees"),
+    ("row-verdicts-swapped", CATALOG,
+     '{"match": tally[row.row_id, "match"], "mismatch": tally[row.row_id, "mismatch"]}',
+     '{"match": tally[row.row_id, "mismatch"], "mismatch": tally[row.row_id, "match"]}',
+     "a row audit tallies its matches under match and its mismatches under mismatch"),
+    ("row-size-counts-matches-only", CATALOG,
+     '"computed_size": tally[row.row_id, "match"] + tally[row.row_id, "mismatch"],',
+     '"computed_size": tally[row.row_id, "match"],',
+     "a row's computed class size counts every set it claims, mismatched or not"),
     ("below-threshold-cut-by-one", CATALOG,
      "elif n < p.valid_from:",
      "elif n <= p.valid_from:",

@@ -110,7 +110,7 @@ def test_criterion_5_class_size_audit(report9):
     for tid, total in ((1, 144), (2, 360), (3, 480)):
         audit = report9.table(tid)
         assert audit.covered == total == audit.universe
-        assert sum(r.computed_size for r in audit.rows) == total
+        assert sum(r["computed_size"] for r in audit.rows) == total
 
     t4 = report9.table(4)
     assert t4.universe == 528
@@ -183,10 +183,10 @@ def test_criterion_8_oracle_self_check():
 
 def test_criterion_9_fibonacci_calibration(report9):
     for row_id in ("1.fibonacci-even", "2.fibonacci", "3.fibonacci", "2.tribonacci"):
-        audit = next(r for t in report9.tables for r in t.rows if r.row_id == row_id)
-        assert audit.mismatches == 0
-        assert audit.computed_size == audit.claimed_size
-    cal = report9.calibration
+        audit = next(r for t in report9.tables for r in t.rows if r["row_id"] == row_id)
+        assert audit["verdicts"]["mismatch"] == 0
+        assert audit["computed_size"] == audit["claimed_size"]
+    cal = report9.to_json_dict()["calibration"]
     assert cal["fibonacci_convention"] == "f(1)=f(2)=1"
     assert cal["rows"]["1.fibonacci-even"]["index_map"] == "f(2n-1)"
     assert cal["rows"]["2.fibonacci"]["index_map"] == "f(n+2)-1"

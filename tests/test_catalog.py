@@ -300,14 +300,20 @@ def test_explicit_families_match_independent_oracle():
 
 
 def test_explicit_families_build_pinned_sets():
-    # the sorted members of all 15 families for n = 1..12, below each row's
-    # threshold too, hash to the digest of the builders they replaced
+    # the sorted members of all 15 families from the least n their longest
+    # skeleton inflates to (below each row's threshold too) up to 12 hash to
+    # the digest of the builders they replaced; one n lower a family raises
     families = sorted(EXPLICIT_FAMILIES.values(), key=lambda f: f.name)
-    text = repr([(f.name, n, sorted(f.build(n))) for f in families for n in range(1, 13)])
-    assert len(families) == 15
+    least = {f.name: max(len(skeleton) for skeleton, _, _ in f.members) - 1 for f in families}
+    text = repr([(f.name, n, sorted(f.build(n))) for f in families for n in range(least[f.name], 13)])
+    assert len(families) == 15 and len(text) == 14713
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "66adbc3056f26eb07acccad8353f008393752cea54937fc9ff321a961d8994f3"
+        "31ec06b90808462916b6d1a1e9795e44c954782cc92f3f93ae618a25f20466c0"
     )
+    for f in families:
+        if least[f.name] >= 1:
+            with pytest.raises(ValueError):
+                f.build(least[f.name] - 1)
 
 
 def test_verify_walks_once_per_explicit_family(monkeypatch):
@@ -400,14 +406,16 @@ def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):
 
 
 def test_pair_formula_values_are_each_sets_own_formula():
-    # verify evaluates each distinct formula once; every set must still get
-    # its own formula's values, which for some explicit families differ from
-    # their row's formula below the threshold
+    # verify evaluates each distinct (formula, threshold) once; every set must
+    # still get its own formula's values from its own threshold on, and None
+    # below it, where a claim may differ from its row's
     report = verify(7)
     entries = assign_entries(report.pairs)
     for s, pair in report.pairs.items():
         entry = entries[s]
-        expected = None if entry is None else tuple(evaluate(entry.formula, n) for n in range(1, 8))
+        expected = None if entry is None else tuple(
+            evaluate(entry.formula, n) if n >= entry.valid_from else None for n in range(1, 8)
+        )
         assert pair.formula_values == expected
 
 
@@ -495,8 +503,8 @@ def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, 
     assert [f["id"] for f in open_findings] == [f"unexpected-mismatch:{lit}" for lit in bad]
     assert all(f["kind"] == "unexpected-mismatch" and f["printed"] == "2.tribonacci" for f in open_findings)
     assert [f["evidence"] for f in open_findings] == [{"set": lit, "mismatch_ns": [5]} for lit in bad]
-    row = next(r for r in report.table(2).rows if r.row_id == "2.tribonacci")
-    assert (row.computed_size, row.matches, row.mismatches) == (6, 2, 4)
+    row = next(r for r in report.table(2).rows if r["row_id"] == "2.tribonacci")
+    assert (row["computed_size"], row["verdicts"]) == (6, {"match": 2, "mismatch": 4})
     cells = [r for r in report.to_csv_rows()[1:] if r[6] == "mismatch"]
     assert cells == [[2, "2.tribonacci", lit, 5, 14, 13, "mismatch"] for lit in bad]
 

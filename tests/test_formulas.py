@@ -15,6 +15,7 @@ from permpat.formulas import (
     evaluate,
     fibonacci,
     gf_coefficients,
+    inflate,
     render,
     tribonacci,
 )
@@ -107,6 +108,17 @@ def test_explicit_family_carries_its_builder():
     assert fam.build(4) == frozenset({(4, 3, 2, 1)})
     assert fam == ExplicitFamily("123;132;213;231;4312", (((1,), 0, True),))
     assert render(fam) == "|explicit avoider list [123;132;213;231;4312]|"
+
+
+def test_inflate_needs_the_skeleton_less_one_point():
+    # at n = len(skeleton) - 1 the run is empty and the rest is a permutation
+    # of 1..n; one n lower no permutation is left, so inflate raises
+    for skeleton, i, descending in (((3, 1, 2), 1, True), ((4, 5, 3, 1, 2), 2, True), ((2, 1), 1, False)):
+        n = len(skeleton) - 1
+        assert sorted(inflate(skeleton, i, descending, n)) == list(range(1, n + 1))
+        with pytest.raises(ValueError):
+            inflate(skeleton, i, descending, n - 1)
+    assert inflate((3, 1, 2), 1, True, 2) == (2, 1)
 
 
 def test_render_strings():
