@@ -126,8 +126,8 @@ def _orbit_union(*literals: str) -> frozenset[PatternSet]:
     return frozenset(members)
 
 
-# Wilf classes of the small subsets of S_3, by orbit closure from one seed per
-# class (10 pairs count 2^(n-1), 4 pairs C(n,2)+1, 1 pair eventually zero;
+# Wilf classes of the small subsets of S_3, each the union of the orbit images of one
+# seed per orbit (10 pairs count 2^(n-1), 4 pairs C(n,2)+1, 1 pair eventually zero;
 # 14 triples count n, 2 triples are the Fibonacci class, 4 contain 123 & 321).
 _POW2_PAIRS = _orbit_union("123;132", "132;213", "132;231")
 _NN2_PAIRS = _orbit_union("123;231")
@@ -336,7 +336,7 @@ def expand_universe(table_id: int) -> list[PatternSet]:
     order, then its length-4 one, and combinations of the sorted S_3 come in
     lexicographic order, so this product order is already ``pattern_set_key``'s.
     """
-    sizes = {1: (1,), 2: (2,), 3: (3,), 4: (4, 5, 6)}.get(table_id)
+    sizes = {1: (1,), 2: (2,), 3: (3,), 4: (4, 5, 6)}.get(check_int(table_id, "table id", 1))
     if sizes is None:
         raise ValueError(f"unknown table id {table_id}")
     return [

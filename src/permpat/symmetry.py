@@ -19,14 +19,14 @@ from .perms import Perm, PatternSet, check_permutation, format_pattern_set, patt
 
 
 def reverse(p: Perm) -> Perm:
-    """One-line word reversed.
+    """One-line word reversed.  Raises ValueError if p is not a permutation.
 
     >>> reverse((1, 2, 3))
     (3, 2, 1)
     >>> reverse((2, 4, 1, 3))
     (3, 1, 4, 2)
     """
-    return tuple(reversed(p))
+    return tuple(reversed(check_permutation(p)))
 
 
 def inverse(p: Perm) -> Perm:
@@ -48,11 +48,14 @@ def inverse(p: Perm) -> Perm:
 def apply_op(ops: str, p: Perm) -> Perm:
     """Apply a word over the generators {r, i}, lowercase only, leftmost first.
 
+    Raises ValueError if p is not a permutation or the word has another letter.
+
     >>> apply_op("ri", (2, 3, 1))
     (1, 3, 2)
     >>> apply_op("rr", (2, 3, 1))
     (2, 3, 1)
     """
+    p = check_permutation(p)
     for ch in ops:
         if ch == "r":
             p = reverse(p)
@@ -64,8 +67,9 @@ def apply_op(ops: str, p: Perm) -> Perm:
 
 
 def apply_set(ops: str, t: Iterable[Perm]) -> PatternSet:
-    """Elementwise image of a pattern set; cardinality is preserved."""
-    return frozenset(apply_op(ops, tuple(p)) for p in t)
+    """Elementwise image of a pattern set; cardinality is preserved.  Raises
+    ValueError if a member of t is not a permutation."""
+    return frozenset(apply_op(ops, p) for p in pattern_set(t))
 
 
 class SymmetryOrbit(NamedTuple):
@@ -115,15 +119,10 @@ def _images(p: Perm) -> tuple[Perm, ...]:
 
 def partition_into_classes(sets: Iterable[Iterable[Sequence[int]]]) -> list[SymmetryOrbit]:
     """Disjoint orbits covering the input, ordered by canonical representative."""
-    pending = [frozenset(map(tuple, s)) for s in sets]
-    orbits: dict[PatternSet, SymmetryOrbit] = {}
-    assigned: set[PatternSet] = set()
-    for s in pending:
-        if s in assigned:
-            continue
-        o = orbit(s)
-        if o.representative in orbits:
-            raise AssertionError("orbit closure produced overlapping classes")
-        orbits[o.representative] = o
-        assigned |= o.members
-    return [orbits[rep] for rep in sorted(orbits, key=pattern_set_key)]
+    orbit_of: dict[PatternSet, SymmetryOrbit] = {}  # each member of every orbit found so far
+    for t in sets:
+        s = frozenset(map(tuple, t))
+        if s not in orbit_of:
+            o = orbit(s)
+            orbit_of.update(dict.fromkeys(o.members, o))
+    return sorted(set(orbit_of.values()), key=lambda o: pattern_set_key(o.representative))

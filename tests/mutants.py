@@ -254,6 +254,22 @@ MUTANTS = [
      'if ch == "r":',
      'if ch in "rR":',
      "the generators are the lowercase r and i only"),
+    ("partition-unsorted", "src/permpat/symmetry.py",
+     "sorted(set(orbit_of.values()), key=lambda o: pattern_set_key(o.representative))",
+     "list(dict.fromkeys(orbit_of.values()))",
+     "the orbits come out ordered by representative, not by where the input first meets them"),
+    ("reverse-unchecked", "src/permpat/symmetry.py",
+     "tuple(reversed(check_permutation(p)))",
+     "tuple(reversed(p))",
+     "reverse((True, 2, 3)) must raise, not return (3, 2, True)"),
+    ("universe-id-unchecked", CATALOG,
+     '.get(check_int(table_id, "table id", 1))',
+     ".get(table_id)",
+     "True == 1 and 2.0 == 2 find tables 1 and 2, but neither is a table id"),
+    ("enumeration-imports-formulas", ENUMERATION,
+     "from .perms import Perm, PatternSet,",
+     "from .formulas import evaluate\nfrom .perms import Perm, PatternSet,",
+     "the oracle never takes a count from a cataloged formula, so it must not import formulas"),
 ]
 
 EQUIVALENT = [

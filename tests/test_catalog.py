@@ -33,7 +33,7 @@ from permpat.perms import (
     pattern_set,
     pattern_set_key,
 )
-from permpat.symmetry import apply_op, apply_set, inverse, orbit, partition_into_classes
+from permpat.symmetry import apply_op, apply_set, inverse, orbit, partition_into_classes, reverse
 
 from conftest import naive_avoiders
 
@@ -45,8 +45,12 @@ def test_universe_sizes_and_order():
     for tid in (1, 2, 3, 4):
         u = expand_universe(tid)
         assert u == sorted(u, key=pattern_set_key) and len(set(u)) == len(u)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown table id 5"):
         expand_universe(5)
+    # True == 1 and 2.0 == 2 find tables 1 and 2 in a lookup, but are no table ids
+    for table_id in (True, 2.0):
+        with pytest.raises(ValueError, match="table id must be an int"):
+            expand_universe(table_id)
 
 
 def test_table_of():
@@ -87,9 +91,13 @@ def test_malformed_sets_raise(literal):
 _PERMUTATION_CALLS = {
     "check_permutation": check_permutation,
     "pattern_set": lambda p: pattern_set([p]),
+    "reverse": reverse,
     "inverse": inverse,
     "apply_op": lambda p: apply_op("ri", p),
+    "apply_op_r": lambda p: apply_op("r", p),
+    "apply_op_empty_word": lambda p: apply_op("", p),
     "apply_set": lambda p: apply_set("i", [p]),
+    "apply_set_r": lambda p: apply_set("r", [p]),
     "orbit": lambda p: orbit([p]),
     "pattern_words": lambda p: pattern_words(p, 4),
     "lift": lambda p: lift([p]),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -35,6 +36,8 @@ def test_inverse_rejects_non_permutations():
         inverse((1, 3, 3))
     with pytest.raises(ValueError):
         apply_set("i", {(1, 3, 3)})
+    with pytest.raises(ValueError):
+        apply_set("r", {(1, 3, 3)})
     with pytest.raises(ValueError):
         inverse((2, 4, 3))
     with pytest.raises(ValueError):
@@ -153,6 +156,24 @@ def test_partition_pairs_catalog_universes():
     import itertools
     triples = [frozenset(ts) | {t} for ts in itertools.combinations(s3, 2) for t in s4]
     assert sum(o.size for o in partition_into_classes(triples)) == 360
+
+
+def test_partition_orders_orbits_by_representative():
+    # the orbits come out sorted by representative, whatever the input order;
+    # the 1,512 universe sets give 283 orbits, whose representatives' literals
+    # are pinned in that order
+    universe = [s for tid in (1, 2, 3, 4) for s in expand_universe(tid)]
+    classes = partition_into_classes(universe)
+    reps = [o.representative for o in classes]
+    assert reps == sorted(reps, key=pattern_set_key)
+    shuffled = universe[:]
+    random.Random(31).shuffle(shuffled)
+    assert partition_into_classes(shuffled) == classes
+    text = "".join(f"{format_pattern_set(r)}\n" for r in reps).encode()
+    assert (len(reps), len(text)) == (283, 4895)
+    assert hashlib.sha256(text).hexdigest() == (
+        "aa0d95d9204161b89556a08da12241623be44d35aad02610749a82dd077c83c7"
+    )
 
 
 def test_partition_single_input():
