@@ -14,7 +14,10 @@ amend its formula and threshold for some sets: the zero sets dead only from
 n = 7, 4.one's singleton classes, and each set whose avoiders a row lists
 verbatim, whose claim is an ``ExplicitFamily`` from ``EXPLICIT_FAMILIES`` (one
 point of a skeleton inflated into a monotone run per member; the verifier
-checks its size and set in one collecting walk).  Findings: ``_FINDINGS``.
+checks its size and set in one collecting walk).  The findings are data too:
+each of ``_FINDINGS`` lists its evidence as (key, probe, *args) items that
+``_build_findings`` evaluates in order on every run (probes: counts, avoiders,
+formula values, fixed sets, the table-4 audit; a length None is the n_max).
 
 Known misprints in the printed tables are pre-registered findings: the row
 encodings below already carry the corrected members, and ``verify`` recomputes
@@ -60,7 +63,6 @@ from .formulas import (
     TribonacciForm,
     ZeroBeyond,
     evaluate,
-    fibonacci,
     render,
 )
 from .perms import (
@@ -587,147 +589,102 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     )
 
 
-def _counts_for(literal: str, n_max: int) -> list[int]:
-    return list(count_table(parse_pattern_set(literal), n_max).counts)
-
-
-def _avoiders_for(literal: str, n: int) -> list[str]:
-    return [format_permutation(p) for p in enumerate_avoiders(n, parse_pattern_set(literal))]
-
-
-def _nn2(n: int) -> int:
-    return n * (n - 1) // 2 + 1
-
-
-# The pre-registered findings as (id, kind, printed, resolution, evidence).
-# The evidence is recomputed on every run from n_max and the audit of table 4;
-# a resolution may name the run's n_max as %(n_max)d.
-_FINDINGS: tuple[tuple[str, str, str, str, Callable[[int, TableAudit], dict]], ...] = (
+# (id, kind, printed, resolution, evidence); a resolution may name n_max as %(n_max)d
+_NN2 = BinomialPoly(((1, 0, 2),), 1).eval  # C(n,2)+1, from n = 0
+_FINDINGS: tuple[tuple[str, str, str, str, tuple[tuple, ...]], ...] = (
     ("containment-wording", "definition-wording",
      "the defining sentence introduces 'avoids' with the clause that defines containment",
      "standard semantics implemented: containment = an order-isomorphic subsequence exists",
-     lambda n_max, t4: {"S4_avoiders_of_132": _counts_for("132", 4)[4]}),
+     (("S4_avoiders_of_132", "count", "132", 4),)),
     ("reversal-image-misprint", "misprint",
      "one printed derivation states r({213,132,4321}) = {132,213,4231}",
      "direct reversal gives {231;312;1234}; both classes count C(n,2)+1 so the conclusion stands",
-     lambda n_max, t4: {
-         "recomputed_r_image": format_pattern_set(apply_set("r", parse_pattern_set("213;132;4321"))),
-         "counts_printed_image": _counts_for("132;213;4231", 6),
-         "counts_recomputed_image": _counts_for("1234;231;312", 6),
-     }),
+     (("recomputed_r_image", "literal", apply_set("r", parse_pattern_set("213;132;4321"))),
+      ("counts_printed_image", "counts", "132;213;4231", 6),
+      ("counts_recomputed_image", "counts", "1234;231;312", 6))),
     ("nn2-lists-contained-tau", "row-correction",
      "{213,312,1324} listed under the C(n,2)+1 block",
      "1324 contains 213, so the set counts 2^(n-1) and belongs to the 2^(n-1) predicate row",
-     lambda n_max, t4: {
-         "counts": _counts_for("1324;213;312", 6),
-         "expected_if_nn2": [_nn2(n) for n in range(7)],
-         "expected_pow2": [0] + [2 ** (n - 1) for n in range(1, 7)],
-     }),
+     (("counts", "counts", "1324;213;312", 6),
+      ("expected_if_nn2", "values", _NN2, 0, 6),
+      ("expected_pow2", "values", lambda n: 2 ** n // 2, 0, 6))),  # 2^(n-1), and 0 at n = 0
     ("nn2-missing-class", "row-correction",
      "the C(n,2)+1 block claims 118 sets but its printed members reach only 114",
      "the class of {132,213,3421} (4 sets) counts C(n,2)+1 for n <= %(n_max)d and completes the block",
-     lambda n_max, t4: {
-         "counts": _counts_for("132;213;3421", n_max),
-         "expected": [_nn2(n) for n in range(n_max + 1)],
-         "class_members": sorted(
-             format_pattern_set(m) for m in orbit(parse_pattern_set("132;213;3421")).members
-         ),
-     }),
+     (("counts", "counts", "132;213;3421", None),
+      ("expected", "values", _NN2, 0, None),
+      ("class_members", "literals", orbit(parse_pattern_set("132;213;3421")).members))),
     ("nn2-duplicate-tau-item", "misprint",
      "the tau list printed for T={213,321} reads {1324,2314,1324} (a duplicate)",
      "every tau containing 213 or 321 gives C(n,2)+1 for that T; full list recomputed",
-     lambda n_max, t4: {"taus_with_nn2_counts_n_le_6": [
-         format_permutation(tau)
-         for tau, table in zip(S4, count_tables([frozenset({P213, P321, tau}) for tau in S4], 6))
-         if table.counts[1:] == tuple(map(_nn2, range(1, 7)))
-     ]}),
+     (("taus_with_nn2_counts_n_le_6", "taus", "213;321", _NN2, 6),)),
     ("2n2-item-prints-3412", "misprint",
      "one C(n,2)+1 item names (213,312,3412)",
      "3412 contains 312, so that set counts 2^(n-1); the proven class is {213,312,2341}",
-     lambda n_max, t4: {
-         "counts_printed": _counts_for("213;312;3412", 6),
-         "counts_proven": _counts_for("213;312;2341", 6),
-     }),
+     (("counts_printed", "counts", "213;312;3412", 6), ("counts_proven", "counts", "213;312;2341", 6))),
     ("pow2-duplicate-pair", "misprint",
      "the 2^(n-1) item lists the pair (132,231) twice",
      "the three 2^(n-1) pair classes are derived by orbit closure (10 pairs)",
-     lambda n_max, t4: {"pairs": sorted(format_pattern_set(p) for p in _POW2_PAIRS)}),
+     (("pairs", "literals", _POW2_PAIRS),)),
     ("n-row-merged-conditions", "row-correction",
      "the count-n row names one T class with 'tau contains a member or tau=3412'",
      "encoded as every count-n triple with containing tau, plus cls{123,132,213,3412} "
      "(the 3412 case belongs to the Fibonacci triple, not the printed class)",
-     lambda n_max, t4: {
-         "counts_special": _counts_for("123;132;213;3412", n_max),
-         "counts_special_mirror": _counts_for("2143;231;312;321", n_max),
-     }),
+     (("counts_special", "counts", "123;132;213;3412", None),
+      ("counts_special_mirror", "counts", "2143;231;312;321", None))),
     ("three-row-unproven-class", "misprint",
      "the count-3 row lists {123,231,312,3214}, a class no explicit avoider list covers",
      "oracle confirms count 3 from n = 3",
-     lambda n_max, t4: {"counts": _counts_for("123;231;312;3214", n_max)}),
+     (("counts", "counts", "123;231;312;3214", None),)),
     ("four-row-reps", "row-correction",
      "the count-4 row prints representatives {123,231,312,3421} and {123,231,312,4231}",
      "3421 contains 231 (count n by redundancy); the proven classes are "
      "{123,132,213,3421} and {123,132,213,4231}",
-     lambda n_max, t4: {
-         "counts_printed_rep": _counts_for("123;231;312;3421", 6),
-         "counts_corrected_rep": _counts_for("123;132;213;3421", 6),
-     }),
+     (("counts_printed_rep", "counts", "123;231;312;3421", 6),
+      ("counts_corrected_rep", "counts", "123;132;213;3421", 6))),
     ("explicit3-witness-typos", "misprint",
      "several 3-element avoider lists print the ascending witness delta_n where T "
      "forbids it (items with 123 in T, and the 1234 item); one item prints "
      "(2,1,n,...,3) and the 4321 item prints the descending witness",
      "corrected witnesses encoded per family; set equality verified against the "
      "enumerator on the full validity range",
-     lambda n_max, t4: {
-         "example": "123;132;231;3214",
-         "avoiders_n5": _avoiders_for("123;132;231;3214", 5),
-     }),
+     (("example", "literal", parse_pattern_set("123;132;231;3214")),
+      ("avoiders_n5", "avoiders", "123;132;231;3214", 5))),
     ("explicit4-lists-swapped", "misprint",
      "the two 4-element avoider lists are printed under each other's extra pattern "
      "(and one member repeats 'n-1')",
      "lists swapped back and the garbled member read as (n-1,n,n-2,...,3,1,2); "
      "oracle confirms both families",
-     lambda n_max, t4: {
-         "avoiders_3421_n4": _avoiders_for("123;132;213;3421", 4),
-         "avoiders_4231_n4": _avoiders_for("123;132;213;4231", 4),
-     }),
+     (("avoiders_3421_n4", "avoiders", "123;132;213;3421", 4),
+      ("avoiders_4231_n4", "avoiders", "123;132;213;4231", 4))),
     ("singleton-conclusions-swapped", "misprint",
      "the five-triple singleton rows conclude {(n,...,1)} when 123 is missing and "
      "{(1,...,n)} when 321 is missing",
      "conclusions swapped: forbidding everything but 123 leaves the ascending "
      "permutation, and vice versa",
-     lambda n_max, t4: {"avoiders_missing123_n5": _avoiders_for("132;213;231;312;321;2143", 5)}),
+     (("avoiders_missing123_n5", "avoiders", "132;213;231;312;321;2143", 5),)),
     ("three-zero-threshold-exception", "claim-correction",
      "the claimed zero threshold for three-triple sets is n >= 6 whenever 123 is in "
      "T and t = 4321 (or the mirror condition)",
      "false for the classes of {123,132,213,4321} and {123,231,312,4321}: one "
      "avoider survives at n = 6 and the count is zero only from n = 7; the four "
      "affected sets carry threshold 7",
-     lambda n_max, t4: {
-         "counts_fib_triple": _counts_for("123;132;213;4321", 7),
-         "counts_other_triple": _counts_for("123;231;312;4321", 7),
-         "survivor_n6_fib_triple": ";".join(_avoiders_for("123;132;213;4321", 6)),
-         "survivor_n6_other_triple": ";".join(_avoiders_for("123;231;312;4321", 6)),
-     }),
+     (("counts_fib_triple", "counts", "123;132;213;4321", 7),
+      ("counts_other_triple", "counts", "123;231;312;4321", 7),
+      ("survivor_n6_fib_triple", "joined", "123;132;213;4321", 6),
+      ("survivor_n6_other_triple", "joined", "123;231;312;4321", 6))),
     ("fibonacci-indexing", "threshold-calibration",
      "the pair-table Fibonacci row prints f(2n-2) with no initial conditions",
      "under f(1)=f(2)=1 the matching index is f(2n-1) (equivalently the printed "
      "index under f(0)=f(1)=1); calibrated against the oracle at n=2..5",
-     lambda n_max, t4: {
-         "counts_123_1432": _counts_for("123;1432", 5),
-         "f_2n_minus_1": [fibonacci(2 * n - 1) for n in range(1, 6)],
-     }),
+     (("counts_123_1432", "counts", "123;1432", 5), ("f_2n_minus_1", "values", FibonacciForm(2, -1).eval, 1, 5))),
     ("table4-claimed-sizes", "claimed-size-mismatch",
      "the last table claims row sizes 348, 100 and 56 (sum 504 of a 528-set universe)",
      "the stated zero-row and count-2-row conditions reach 250 and 198 sets; the "
      "claimed total 504 is met exactly under the strict-subset premise, leaving "
      "the 24 sets with all six length-3 patterns uncovered (surfaced with oracle "
      "counts)",
-     lambda n_max, t4: {
-         "claimed_vs_computed": {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in t4.rows},
-         "covered": t4.covered,
-         "uncovered": len(t4.uncovered),
-     }),
+     (("claimed_vs_computed", "t4 sizes"), ("covered", "t4 covered"), ("uncovered", "t4 uncovered"))),
 )
 
 
@@ -735,11 +692,34 @@ def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
     """Pre-registered misprint findings with recomputed evidence, then one open
     finding per mismatched pair."""
     t4 = next(a for a in audits if a.table_id == 4)
+    # each probe looks up count_table, count_tables and enumerate_avoiders
+    # when it runs, so a tracer that rebinds those names sees its calls
+    probes: dict[str, Callable] = {
+        "counts": lambda lit, n: list(count_table(parse_pattern_set(lit), n).counts),  # for n = 0..n
+        "count": lambda lit, n: count_table(parse_pattern_set(lit), n).counts[n],
+        "avoiders": lambda lit, n: [format_permutation(p) for p in enumerate_avoiders(n, parse_pattern_set(lit))],
+        "joined": lambda lit, n: ";".join(probes["avoiders"](lit, n)),
+        "values": lambda f, lo, n: [f(k) for k in range(lo, n + 1)],
+        "literal": format_pattern_set,
+        "literals": lambda sets: sorted(map(format_pattern_set, sets)),
+        # the taus of S4 whose set with the patterns of lit counts f(k) at k = 1..n
+        "taus": lambda lit, f, n: [
+            format_permutation(tau)
+            for tau, t in zip(S4, count_tables([parse_pattern_set(lit) | {tau} for tau in S4], n))
+            if list(t.counts[1:]) == probes["values"](f, 1, n)
+        ],
+        "t4 sizes": lambda: {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in t4.rows},
+        "t4 covered": lambda: t4.covered,
+        "t4 uncovered": lambda: len(t4.uncovered),
+    }
     return [
         {
             "id": fid, "kind": kind, "printed": printed,
             "resolution": resolution % {"n_max": n_max},
-            "evidence": evidence(n_max, t4), "status": "confirmed",
+            # a length None is the run's n_max
+            "evidence": {key: probes[probe](*(n_max if a is None else a for a in args))
+                         for key, probe, *args in evidence},
+            "status": "confirmed",
         }
         for fid, kind, printed, resolution, evidence in _FINDINGS
     ] + [

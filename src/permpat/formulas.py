@@ -34,14 +34,20 @@ def inflate(skeleton: tuple[int, ...], i: int, descending: bool, n: int) -> tupl
 
     The run holds v..v + n - len(skeleton) for v = skeleton[i], and the larger
     entries move up with it, so every entry is linear in n; n must be at least
-    len(skeleton) - 1, where the run is empty, or ValueError is raised.
+    len(skeleton) - 1, where the run is empty.  ValueError is raised below
+    that n, or unless the skeleton is a permutation of 1..k of ints and i an
+    int in 0..k - 1.
 
     >>> inflate((3, 1, 2), 1, True, 6), inflate((2, 1), 1, False, 4)
     ((6, 4, 3, 2, 1, 5), (4, 1, 2, 3))
     """
-    v, shift = skeleton[i], n - len(skeleton)
+    k = len(skeleton)
+    is_permutation = {type(x) for x in skeleton} == {int} and sorted(skeleton) == [*range(1, k + 1)]
+    if not is_permutation or type(i) is not int or not 0 <= i < k:
+        raise ValueError(f"inflate needs a permutation of 1..k and a point 0..k-1 of it, got {skeleton}, {i}")
+    v, shift = skeleton[i], n - k
     if shift < -1:
-        raise ValueError(f"a skeleton of length {len(skeleton)} inflates for n >= {len(skeleton) - 1}, got {n}")
+        raise ValueError(f"a skeleton of length {k} inflates for n >= {k - 1}, got {n}")
     run = range(v + shift, v - 1, -1) if descending else range(v, v + shift + 1)
     rest = [x + shift if x > v else x for x in skeleton]
     return (*rest[:i], *run, *rest[i + 1 :])

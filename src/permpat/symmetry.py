@@ -118,11 +118,14 @@ def _images(p: Perm) -> tuple[Perm, ...]:
 
 
 def partition_into_classes(sets: Iterable[Iterable[Sequence[int]]]) -> list[SymmetryOrbit]:
-    """Disjoint orbits covering the input, ordered by canonical representative."""
+    """Disjoint orbits covering the input, ordered by canonical representative.
+    Raises ValueError if a member of an input set is not a permutation."""
     orbit_of: dict[PatternSet, SymmetryOrbit] = {}  # each member of every orbit found so far
     for t in sets:
         s = frozenset(map(tuple, t))
         if s not in orbit_of:
             o = orbit(s)
             orbit_of.update(dict.fromkeys(o.members, o))
+        elif {type(v) for p in s for v in p} != {int}:
+            pattern_set(s)  # a set equal to a checked one differs only by entry type: True == 1
     return sorted(set(orbit_of.values()), key=lambda o: pattern_set_key(o.representative))

@@ -1,8 +1,10 @@
 """Mutation check of the tier-1 tests.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME...]
 
-Run from the root of a checkout.  Each entry of ``MUTANTS`` is (name, file,
+Run from the root of a checkout.  With names, only those entries run, so a
+change can check its own mutants in seconds; the check for stale entries
+below still reads every entry.  Each entry of ``MUTANTS`` is (name, file,
 old text, new text, reason).  For each one the script copies the checkout to
 a temporary directory, replaces the one occurrence of the old text in the
 copy, and runs tier-1 there with ``-x``.  Tier-1 must fail: the mutant is
@@ -270,6 +272,22 @@ MUTANTS = [
      "from .perms import Perm, PatternSet,",
      "from .formulas import evaluate\nfrom .perms import Perm, PatternSet,",
      "the oracle never takes a count from a cataloged formula, so it must not import formulas"),
+    ("bench-oracle-imports-package", "perfbench/oracle.py",
+     "import itertools\n",
+     "import itertools\n\nfrom permpat.perms import standardize\n",
+     "the bench's oracle is a second method, so it must not import the package it checks"),
+    ("partition-key-type-unchecked", "src/permpat/symmetry.py",
+     "elif {type(v) for p in s for v in p} != {int}:",
+     "elif False:",
+     "{(True, 2)} equals the checked {(1, 2)}, so a set found as a key must have its entry types checked"),
+    ("inflate-skeleton-unchecked", "src/permpat/formulas.py",
+     "if not is_permutation or type(i)",
+     "if type(i)",
+     "a skeleton with a repeated entry inflates to a word that is not a permutation"),
+    ("findings-length-one-short", CATALOG,
+     "n_max if a is None else a",
+     "n_max - 1 if a is None else a",
+     "an evidence length None is the run's own n_max, at every n_max"),
 ]
 
 EQUIVALENT = [
@@ -314,14 +332,18 @@ def _run(entry, must_fail: bool, scratch: Path) -> bool:
     return ok
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     entries = [(e, True) for e in MUTANTS] + [(e, False) for e in EQUIVALENT]
     stale = [(name, path, (ROOT / path).read_text().count(old)) for (name, path, old, _, _), _ in entries]
     for name, path, hits in stale:
         if hits != 1:
             print(f"STALE  {name}: its old text occurs {hits} times in {path}")
-    if any(hits != 1 for _, _, hits in stale):
+    unknown = set(names) - {name for name, _, _ in stale}
+    for name in sorted(unknown):
+        print(f"UNKNOWN {name}: no entry has this name")
+    if unknown or any(hits != 1 for _, _, hits in stale):
         return 1
+    entries = [(e, must_fail) for e, must_fail in entries if not names or e[0] in names]
     with tempfile.TemporaryDirectory(prefix="permpat-mutants-") as tmp:
         scratch = Path(tmp)
         baseline = scratch / "baseline"
@@ -336,4 +358,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -354,6 +354,28 @@ def test_verify_small():
     assert all(f["status"] == "confirmed" for f in report.findings)
 
 
+# sha256 of json.dumps(verify(n_max).findings): several evidence items read
+# their length from the run's n_max, so each n_max from 1 to 9 is pinned
+_FINDINGS_DIGESTS = {
+    1: "8bc5c6b22eb14d07affdd7fb31a14931f8bbbfc514c71d6c5ddf0cb397ee9599",
+    2: "36ac4887b6fb877d9a76aaad7c9d8b8582d281b92b21c406f2b8f66d7b089f92",
+    3: "26621ddfae1b4dab52096d865b078cbc2b7caee7f35372af8fcbe7bfaa4b728c",
+    4: "0337c2b885f889d17c29d7c8737363079c6018207369c197d53a539601e56156",
+    5: "0b58dad12834bc344d827982c04659d6ae81d2f9f5136d01904f8b4c10f9a4f3",
+    6: "6b5ac2e0a5404c8c3b8a88789f33c7f2b5bc8c147874180ca86c20f4a2c5641f",
+    7: "d7a59a70c83bfd091357207b7303356be8f0167963d160d7bfda2e3dd7855cff",
+    8: "f93d73d0a5935ae20b560cc305638f2d015cb710fce731d24a059fcf162bd380",
+    9: "a9fe38d0382ba827f19a7cf0d3587484e5b3bc28cc15281341cc0bbb6bbf360f",
+}
+
+
+def test_findings_pinned_at_every_n_max():
+    for n_max, digest in _FINDINGS_DIGESTS.items():
+        findings = verify(n_max).findings
+        assert len(findings) == 16 and all(f["status"] == "confirmed" for f in findings)
+        assert hashlib.sha256(json.dumps(findings).encode()).hexdigest() == digest, n_max
+
+
 def test_verify_report_serialization():
     report = verify(5)
     blob = json.dumps(report.to_json_dict())

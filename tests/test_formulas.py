@@ -121,6 +121,16 @@ def test_inflate_needs_the_skeleton_less_one_point():
     assert inflate((3, 1, 2), 1, True, 2) == (2, 1)
 
 
+def test_inflate_rejects_a_skeleton_that_is_not_a_permutation_or_a_point_off_it():
+    # a negative point read the skeleton from its end and a repeated entry
+    # built a word with a repeat, both of length n; True passed as point 1
+    for skeleton, i in (((3, 1, 2), -1), ((3, 1, 2), 3), ((3, 1, 2), True), ((3, 1, 2), 1.0),
+                        ((3, 3, 2), 0), ((3, 1, 4), 0), ((True, 2), 0), ((2.0, 1), 1), ((), 0)):
+        with pytest.raises(ValueError):
+            inflate(skeleton, i, True, 5)
+    assert inflate((3, 1, 2), 2, True, 5) == (5, 1, 4, 3, 2)
+
+
 def test_render_strings():
     assert render(Catalan()) == "C(2n,n)/(n+1)"
     assert render(BinomialPoly(((2, 0, 1),), -2)) == "2n-2"

@@ -4,7 +4,8 @@ The oracle and the symmetry and lifting layers must never take a count from
 a cataloged formula, so only ``catalog``, which checks the formulas against
 the oracle, and ``cli``, which prints them, import ``formulas``.  The naive
 oracle of ``tests/conftest.py`` must stay a second method, so it reads no
-object of the package.
+object of the package, and the bench's oracle, ``perfbench/oracle.py``,
+imports no module of it.
 """
 
 import ast
@@ -54,6 +55,13 @@ def _package_imports(path):
 def test_package_import_graph_is_pinned():
     graph = {path.stem: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert graph == IMPORTS
+
+
+def test_bench_oracle_imports_no_package_module():
+    # the bench checks the verifier's answers against perfbench/oracle.py,
+    # which must stay a second method; the file is only read here
+    oracle = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    assert _package_imports(oracle) == set()
 
 
 def _names_read(code):

@@ -238,6 +238,15 @@ def test_orbit_rejects_malformed_patterns():
         orbit([(1, 2.0)])
 
 
+def test_partition_rejects_a_set_equal_to_an_earlier_member():
+    # {(True, 2)} equals and hashes as {(1, 2)}, so it is found as a member of
+    # the orbit of {12} before orbit could check it; it must raise all the same
+    for sets in ([[(1, 2)], [(True, 2)]], [[(2, 1)], [(1, 2)], [(2.0, 1)]], [[(1, 2, 3), (1, 3, 2)], [(1, 3, 2), (1, 2, 3.0)]]):
+        with pytest.raises(ValueError):
+            partition_into_classes(sets)
+    assert partition_into_classes([[(1, 2)], [(2, 1)], [(1, 2)]]) == [orbit([(1, 2)])]
+
+
 @settings(deadline=None, max_examples=40)
 @given(PATTERN_SETS, st.integers(0, 6))
 def test_orbit_members_match_naive_count(t, n):
