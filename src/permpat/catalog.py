@@ -422,64 +422,52 @@ class PairCheck(NamedTuple):
         return format_pattern_set(self.pattern_set)
 
 
-class TableAudit:
-    """A table's pair checks in universe order, and the audit derived from them:
-    ``rows``, one row audit per table row, built as the JSON object the report
-    prints (its claimed and computed class size and its verdict tally), then
-    ``uncovered``, ``universe``, ``covered`` and ``claimed_total``."""
-
-    def __init__(self, table_id: int, checks: list[PairCheck]) -> None:
-        self.table_id, self.checks = table_id, checks
-        tally = Counter((c.row_id, c.verdict) for c in checks)
-        rows = _ROWS.get(table_id, ())
-        self.rows = [
+def _table_audit(table_id: int, checks: list[PairCheck]) -> dict:
+    """A table's audit, built once as the JSON object the report prints from
+    its pair checks in universe order: one row audit per table row (its claimed
+    and computed class size and its verdict tally), then its coverage."""
+    tally = Counter((c.row_id, c.verdict) for c in checks)
+    rows = _ROWS[table_id]
+    uncovered = [c for c in checks if c.row_id is None]
+    return {
+        "id": table_id,
+        "rows": [
             {"row_id": row.row_id, "representative": row.representative, "claimed_size": row.claimed_size,
              "computed_size": tally[row.row_id, "match"] + tally[row.row_id, "mismatch"],
              "formula": render(row.formula), "citation": row.citation,
              "verdicts": {"match": tally[row.row_id, "match"], "mismatch": tally[row.row_id, "mismatch"]}}
             for row in rows
-        ]
-        self.uncovered = [c for c in checks if c.row_id is None]
-        self.universe = len(checks)
-        self.covered = self.universe - len(self.uncovered)
-        self.claimed_total = sum(row.claimed_size for row in rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.table_id,
-            "rows": self.rows,
-            "coverage": {
-                "universe": self.universe,
-                "covered": self.covered,
-                "claimed_total": self.claimed_total,
-                "uncovered": [
-                    {"set": p.literal, "counts": list(p.counts), "conjecture": p.conjecture} for p in self.uncovered
-                ],
-            },
-        }
+        ],
+        "coverage": {
+            "universe": len(checks),
+            "covered": len(checks) - len(uncovered),
+            "claimed_total": sum(row.claimed_size for row in rows),
+            "uncovered": [{"set": c.literal, "counts": list(c.counts), "conjecture": c.conjecture} for c in uncovered],
+        },
+    }
 
 
 class VerificationReport(NamedTuple):
     n_max: int
     jobs: Optional[int]
     elapsed_seconds: float
-    tables: list[TableAudit]
+    tables: list[dict]  # one table audit each, as the report prints it
     findings: list[dict]
-    pairs: dict[PatternSet, PairCheck]
+    pairs: dict[PatternSet, PairCheck]  # every set's check, in canonical set order
 
     @property
     def unexpected_mismatches(self) -> list[PairCheck]:
         return [p for p in self.pairs.values() if p.verdict == "mismatch"]
 
-    def table(self, table_id: int) -> TableAudit:
-        return next(t for t in self.tables if t.table_id == table_id)
+    def table(self, table_id: int) -> dict:
+        return next(t for t in self.tables if t["id"] == table_id)
 
     def to_json_dict(self) -> dict:
         return {
             "n_max": self.n_max,
             "jobs": self.jobs,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "tables": [t.to_json_dict() for t in self.tables],
+            "tables": self.tables,
             "findings": self.findings,
             "calibration": CALIBRATION,
             "unexpected_mismatches": [p.literal for p in self.unexpected_mismatches],
@@ -487,17 +475,16 @@ class VerificationReport(NamedTuple):
 
     def to_csv_rows(self) -> list[list]:
         rows: list[list] = [["table", "row_id", "set", "n", "oracle", "formula", "verdict"]]
-        # tables hold increasing set sizes, so table order is canonical set order
-        for t in self.tables:
-            for p in t.checks:
-                for n in range(1, self.n_max + 1):
-                    if p.verdict == "uncovered":
-                        tail = ["", "uncovered"]
-                    elif n < p.valid_from:
-                        tail = ["", "below-threshold-skipped"]
-                    else:
-                        tail = [p.formula_values[n - 1], "mismatch" if n in p.mismatch_ns else "match"]
-                    rows.append([t.table_id, p.row_id or "", p.literal, n, p.counts[n], *tail])
+        for p in self.pairs.values():
+            tid = table_of(p.pattern_set)
+            for n in range(1, self.n_max + 1):
+                if p.verdict == "uncovered":
+                    tail = ["", "uncovered"]
+                elif n < p.valid_from:
+                    tail = ["", "below-threshold-skipped"]
+                else:
+                    tail = [p.formula_values[n - 1], "mismatch" if n in p.mismatch_ns else "match"]
+                rows.append([tid, p.row_id or "", p.literal, n, p.counts[n], *tail])
         return rows
 
 
@@ -574,18 +561,17 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     # one evaluation per distinct (formula, threshold), not per row: a row's sets may differ
     claims = {(e.formula, e.valid_from) for e in entries.values() if e is not None}
     values = {(f, vf): tuple(evaluate(f, n) if n >= vf else None for n in range(1, n_max + 1)) for f, vf in claims}
-    audits = [
-        TableAudit(tid, [_check_pair(s, entries[s], counts[s], values, n_max) for s in universe])
-        for tid, universe in universes.items()
-    ]
-    findings = _build_findings(n_max, audits)
+    # the universes hold increasing set sizes, so members are in canonical set order
+    pairs = {s: _check_pair(s, entries[s], counts[s], values, n_max) for s in members}
+    audits = {tid: _table_audit(tid, [pairs[s] for s in universe]) for tid, universe in universes.items()}
+    findings = _build_findings(n_max, audits[4], pairs)
     return VerificationReport(
         n_max=n_max,
         jobs=jobs,
         elapsed_seconds=time.perf_counter() - started,
-        tables=audits,
+        tables=list(audits.values()),
         findings=findings,
-        pairs={c.pattern_set: c for a in audits for c in a.checks},
+        pairs=pairs,
     )
 
 
@@ -688,10 +674,10 @@ _FINDINGS: tuple[tuple[str, str, str, str, tuple[tuple, ...]], ...] = (
 )
 
 
-def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
-    """Pre-registered misprint findings with recomputed evidence, then one open
-    finding per mismatched pair."""
-    t4 = next(a for a in audits if a.table_id == 4)
+def _build_findings(n_max: int, t4: dict, pairs: dict[PatternSet, PairCheck]) -> list[dict]:
+    """Pre-registered misprint findings with recomputed evidence (the table-4
+    figures read from its audit ``t4``), then one open finding per mismatched
+    check of ``pairs``, in their canonical set order."""
     # each probe looks up count_table, count_tables and enumerate_avoiders
     # when it runs, so a tracer that rebinds those names sees its calls
     probes: dict[str, Callable] = {
@@ -708,9 +694,9 @@ def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
             for tau, t in zip(S4, count_tables([parse_pattern_set(lit) | {tau} for tau in S4], n))
             if list(t.counts[1:]) == probes["values"](f, 1, n)
         ],
-        "t4 sizes": lambda: {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in t4.rows},
-        "t4 covered": lambda: t4.covered,
-        "t4 uncovered": lambda: len(t4.uncovered),
+        "t4 sizes": lambda: {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in t4["rows"]},
+        "t4 covered": lambda: t4["coverage"]["covered"],
+        "t4 uncovered": lambda: len(t4["coverage"]["uncovered"]),
     }
     return [
         {
@@ -728,5 +714,5 @@ def _build_findings(n_max: int, audits: list[TableAudit]) -> list[dict]:
             "printed": c.row_id, "resolution": "formula disagrees with the oracle; investigate",
             "evidence": {"set": c.literal, "mismatch_ns": list(c.mismatch_ns)}, "status": "open",
         }
-        for a in audits for c in a.checks if c.verdict == "mismatch"
+        for c in pairs.values() if c.verdict == "mismatch"
     ]

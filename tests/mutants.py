@@ -136,6 +136,14 @@ MUTANTS = [
      '"computed_size": tally[row.row_id, "match"] + tally[row.row_id, "mismatch"],',
      '"computed_size": tally[row.row_id, "match"],',
      "a row's computed class size counts every set it claims, mismatched or not"),
+    ("coverage-covered-counts-all", CATALOG,
+     '"covered": len(checks) - len(uncovered),',
+     '"covered": len(checks),',
+     "a table's covered count leaves out the sets that no row claims"),
+    ("csv-table-column-constant", CATALOG,
+     "tid = table_of(p.pattern_set)",
+     "tid = 1",
+     "each CSV line names the table of its own set"),
     ("below-threshold-cut-by-one", CATALOG,
      "elif n < p.valid_from:",
      "elif n <= p.valid_from:",

@@ -109,19 +109,19 @@ def test_criterion_4_table_verification(report9):
 def test_criterion_5_class_size_audit(report9):
     for tid, total in ((1, 144), (2, 360), (3, 480)):
         audit = report9.table(tid)
-        assert audit.covered == total == audit.universe
-        assert sum(r["computed_size"] for r in audit.rows) == total
+        assert audit["coverage"]["covered"] == total == audit["coverage"]["universe"]
+        assert sum(r["computed_size"] for r in audit["rows"]) == total
 
     t4 = report9.table(4)
-    assert t4.universe == 528
-    assert t4.claimed_total == 504
-    assert t4.covered == 504
+    assert t4["coverage"]["universe"] == 528
+    assert t4["coverage"]["claimed_total"] == 504
+    assert t4["coverage"]["covered"] == 504
     expected_uncovered = {
         format_pattern_set(frozenset(S3) | {tau}) for tau in S4
     }
-    assert {p.literal for p in t4.uncovered} == expected_uncovered
-    for pair in t4.uncovered:
-        assert len(pair.counts) == 10  # oracle table n = 0..9
+    assert {p["set"] for p in t4["coverage"]["uncovered"]} == expected_uncovered
+    for pair in t4["coverage"]["uncovered"]:
+        assert len(pair["counts"]) == 10  # oracle table n = 0..9
     _ok(5, "computed totals 144/360/480; table-4 coverage 504 of 528 with the "
            "24 uncovered pairs listed with oracle counts")
 
@@ -183,7 +183,7 @@ def test_criterion_8_oracle_self_check():
 
 def test_criterion_9_fibonacci_calibration(report9):
     for row_id in ("1.fibonacci-even", "2.fibonacci", "3.fibonacci", "2.tribonacci"):
-        audit = next(r for t in report9.tables for r in t.rows if r["row_id"] == row_id)
+        audit = next(r for t in report9.tables for r in t["rows"] if r["row_id"] == row_id)
         assert audit["verdicts"]["mismatch"] == 0
         assert audit["computed_size"] == audit["claimed_size"]
     cal = report9.to_json_dict()["calibration"]

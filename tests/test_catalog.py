@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -346,7 +348,7 @@ def test_verify_small():
     assert report.unexpected_mismatches == []
     for tid, (covered, uncovered) in {1: (144, 0), 2: (360, 0), 3: (480, 0), 4: (504, 24)}.items():
         audit = report.table(tid)
-        assert (audit.covered, len(audit.uncovered)) == (covered, uncovered)
+        assert (audit["coverage"]["covered"], len(audit["coverage"]["uncovered"])) == (covered, uncovered)
     finding_ids = {f["id"] for f in report.findings}
     assert "nn2-missing-class" in finding_ids
     assert "table4-claimed-sizes" in finding_ids
@@ -368,12 +370,47 @@ _FINDINGS_DIGESTS = {
     9: "a9fe38d0382ba827f19a7cf0d3587484e5b3bc28cc15281341cc0bbb6bbf360f",
 }
 
+# sha256 of the JSON body of verify(n_max), less elapsed_seconds and jobs, as
+# sorted compact JSON, and of its CSV grid as csv.writer writes it; n_max = 7
+# is test_verify_report_bytes_pinned's, 8 the CI pins and 9 perfbench/reference.json
+_REPORT_DIGESTS = {
+    1: ("54aa5cf80d26a32c95c2dc3b1f60a3b46427540bd4b51165f1c4092b39eebffd",
+        "13cc30985ac8d31c5091c1be906c8e9f87d11d9e0b20eb1565e051dce6ca1f58"),
+    2: ("61764d3814732eb979960d12d23be309715240e65ee03824129ec130fb2e0c0e",
+        "58bb95cef94e89becedc8382b03439f5f94a30c7f8ff720c119efca56235b0df"),
+    3: ("d560423695b60fd2015fcb6eca12a2cc091463148e6b3159629e4e53a8ef8a5d",
+        "71e4a3481fe91daf6c2d70cf7f07fcea51850f664ee48820c62aefab1ab54ad2"),
+    4: ("7ed4af973cc44a9ff377c1ff108b7f974784c02f8d89e9b4366b9185f35cc5f9",
+        "8ea6bdfc908c412fdcd460ed7b32eba8b1c0126f79938239f787f2e62ac94cb2"),
+    5: ("199446f39c6dab016c58ddb6e4fe7d9d11cc61ccf6090f112dd2103430a15680",
+        "173de161dc42691cbeacbd7daee0cfef146367cef86c4ec203a8036c02361667"),
+    6: ("78274504ba6e46da15260b068cd28fc8a004b13e0e815d724c0cb28a35af6c18",
+        "3deb36796fcb9ab85dd3db212da8f981d2a35ec3646aa4999ceb6ea26886873a"),
+    7: ("0355b7ffe0d75222c7644ce2b5c3aefefd71288cbe0281c2ebdb263e2a5ab174",
+        "2899d7db8d53e3cc76cf7f632b1f84384077f9c8ff9b6970cd0496221d5aaa90"),
+    8: ("440f04a70631166b24e519a98d09ff91149d96435eb30e004c5adb7e823880dd",
+        "c7d5e68b4bf8f2df5eca49994b829e4c87a535a5ac2a23530c74a54195d7bffe"),
+    9: ("d7739ce3791c2d6d19f9455e840887d51fd8c171007f8737aee92004c28ca0f9",
+        "d7de24cc6464e8e50cbdb20b5ab45edb7ce6f2c6156d91b443aeb9b25682f2f5"),
+}
+
 
 def test_findings_pinned_at_every_n_max():
+    # and every other byte of the JSON report and of the CSV grid, with and
+    # without the worker pool
     for n_max, digest in _FINDINGS_DIGESTS.items():
-        findings = verify(n_max).findings
-        assert len(findings) == 16 and all(f["status"] == "confirmed" for f in findings)
-        assert hashlib.sha256(json.dumps(findings).encode()).hexdigest() == digest, n_max
+        for jobs in (None, 2):
+            report = verify(n_max, jobs=jobs)
+            findings = report.findings
+            assert len(findings) == 16 and all(f["status"] == "confirmed" for f in findings)
+            assert hashlib.sha256(json.dumps(findings).encode()).hexdigest() == digest, n_max
+            body = report.to_json_dict()
+            del body["elapsed_seconds"], body["jobs"]
+            grid = io.StringIO()
+            csv.writer(grid).writerows(report.to_csv_rows())
+            got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+                json.dumps(body, sort_keys=True, separators=(",", ":")), grid.getvalue()))
+            assert got == _REPORT_DIGESTS[n_max], (n_max, jobs)
 
 
 def test_verify_report_serialization():
@@ -396,9 +433,9 @@ def test_verify_report_serialization():
 
 def test_uncovered_pairs_get_conjectures():
     report = verify(6)
-    assert len(report.table(4).uncovered) == 24
-    for pair in report.table(4).uncovered:
-        assert pair.conjecture == "conjecture: for n>=3: 0 (n>=3)"
+    assert len(report.table(4)["coverage"]["uncovered"]) == 24
+    for pair in report.table(4)["coverage"]["uncovered"]:
+        assert pair["conjecture"] == "conjecture: for n>=3: 0 (n>=3)"
 
 
 def test_verify_searches_representatives_and_shares_exact_counts(monkeypatch):
@@ -533,7 +570,7 @@ def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, 
     assert [f["id"] for f in open_findings] == [f"unexpected-mismatch:{lit}" for lit in bad]
     assert all(f["kind"] == "unexpected-mismatch" and f["printed"] == "2.tribonacci" for f in open_findings)
     assert [f["evidence"] for f in open_findings] == [{"set": lit, "mismatch_ns": [5]} for lit in bad]
-    row = next(r for r in report.table(2).rows if r["row_id"] == "2.tribonacci")
+    row = next(r for r in report.table(2)["rows"] if r["row_id"] == "2.tribonacci")
     assert (row["computed_size"], row["verdicts"]) == (6, {"match": 2, "mismatch": 4})
     cells = [r for r in report.to_csv_rows()[1:] if r[6] == "mismatch"]
     assert cells == [[2, "2.tribonacci", lit, 5, 14, 13, "mismatch"] for lit in bad]
