@@ -476,7 +476,7 @@ class VerificationReport(NamedTuple):
     def to_csv_rows(self) -> list[list]:
         rows: list[list] = [["table", "row_id", "set", "n", "oracle", "formula", "verdict"]]
         for p in self.pairs.values():
-            tid = table_of(p.pattern_set)
+            tid, literal = table_of(p.pattern_set), p.literal
             for n in range(1, self.n_max + 1):
                 if p.verdict == "uncovered":
                     tail = ["", "uncovered"]
@@ -484,7 +484,7 @@ class VerificationReport(NamedTuple):
                     tail = ["", "below-threshold-skipped"]
                 else:
                     tail = [p.formula_values[n - 1], "mismatch" if n in p.mismatch_ns else "match"]
-                rows.append([tid, p.row_id or "", p.literal, n, p.counts[n], *tail])
+                rows.append([tid, p.row_id or "", literal, n, p.counts[n], *tail])
         return rows
 
 
@@ -511,15 +511,11 @@ def _check_pair(
     # size; one collecting walk lists the avoiders of every n
     family = entry.formula if isinstance(entry.formula, ExplicitFamily) else None
     values, vf = formula_values[entry.formula, entry.valid_from], entry.valid_from
-    mismatch_ns: tuple[int, ...] = ()
-    # the common case, every count from the threshold on as claimed, is one
-    # tuple comparison; the mismatched n are listed only when there are some
-    if family or values[vf - 1 :] != counts[vf:]:
-        avoiders = avoiders_by_length(n_max, s) if family else None
-        mismatch_ns = tuple(
-            n for n in range(vf, n_max + 1)
-            if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
-        )
+    avoiders = avoiders_by_length(n_max, s) if family else None
+    mismatch_ns = tuple(
+        n for n in range(vf, n_max + 1)
+        if values[n - 1] != counts[n] or (family and family.build(n) != frozenset(avoiders[n]))
+    )
     return PairCheck(
         pattern_set=s, row_id=entry.row_id, valid_from=vf,
         counts=counts, formula_values=values,
@@ -544,11 +540,10 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
 
     Around that walk the bookkeeping runs in this process: the universes come
     in canonical order with no sort, each set is placed in its table once
-    and tried only against that table's rows, and a set's counts from its
-    threshold on are compared with its formula's values in one step; the
-    mismatched n are listed only when there are some, and an explicit
-    family's set is always checked.  The findings count the 24 sets
-    {213, 321, tau} in one walk.
+    and tried only against that table's rows, and a set's mismatches are
+    the n from its threshold on where its count differs from its formula's
+    value, or an explicit family's set from its avoiders.  The findings
+    count the 24 sets {213, 321, tau} in one walk.
     """
     check_int(n_max, "n_max", 1)
     started = time.perf_counter()

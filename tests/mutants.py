@@ -141,8 +141,8 @@ MUTANTS = [
      '"covered": len(checks),',
      "a table's covered count leaves out the sets that no row claims"),
     ("csv-table-column-constant", CATALOG,
-     "tid = table_of(p.pattern_set)",
-     "tid = 1",
+     "tid, literal = table_of(p.pattern_set), p.literal",
+     "tid, literal = 1, p.literal",
      "each CSV line names the table of its own set"),
     ("below-threshold-cut-by-one", CATALOG,
      "elif n < p.valid_from:",
@@ -196,10 +196,10 @@ MUTANTS = [
      "        for k in sizes\n        for threes in itertools.combinations(S3, k)\n        for tau in S4\n",
      "        for tau in S4\n        for k in sizes\n        for threes in itertools.combinations(S3, k)\n",
      "expand_universe does not sort, so its loops must run in canonical order, tau innermost"),
-    ("pair-fast-path-skips-threshold", CATALOG,
-     "if family or values[vf - 1 :] != counts[vf:]:",
-     "if family or values[vf:] != counts[vf + 1 :]:",
-     "the one-step pair check must compare the count at n = valid_from too"),
+    ("pair-listing-skips-threshold", CATALOG,
+     "n for n in range(vf, n_max + 1)",
+     "n for n in range(vf + 1, n_max + 1)",
+     "the pair check must compare the count at n = valid_from too"),
     ("zero-conjecture-two-values", CATALOG,
      "for n0 in range(1, n_max - 1):",
      "for n0 in range(1, n_max):",

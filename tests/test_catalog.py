@@ -431,6 +431,21 @@ def test_verify_report_serialization():
     assert "mismatch" not in verdicts
 
 
+def test_csv_grid_formats_each_set_once(monkeypatch):
+    # the grid has one line per (set, n) but formats each set's literal once
+    report = verify(4)
+    real, calls = catalog.format_pattern_set, []
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(catalog, "format_pattern_set", counted)
+    rows = report.to_csv_rows()
+    assert len(rows) == 1 + 1512 * 4
+    assert len(calls) == 1512
+
+
 def test_uncovered_pairs_get_conjectures():
     report = verify(6)
     assert len(report.table(4)["coverage"]["uncovered"]) == 24
@@ -529,9 +544,9 @@ def test_jobs_that_are_not_ints_rejected(name, jobs):
 
 
 def test_a_count_wrong_only_at_the_threshold_is_a_mismatch(monkeypatch):
-    # the pair check compares all counts from valid_from on in one step; a
-    # count that is wrong at n = valid_from and nowhere else is a mismatch at
-    # that n, and a threshold above it hides it
+    # the pair check lists every n from valid_from on whose count differs
+    # from the formula; a count that is wrong at n = valid_from and nowhere
+    # else is a mismatch at that n, and a threshold above it hides it
     compute = enumeration._compute_counts
 
     def wrong_at_three(sets, n_max, jobs):
