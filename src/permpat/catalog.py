@@ -15,9 +15,9 @@ n = 7, 4.one's singleton classes, and each set whose avoiders a row lists
 verbatim, whose claim is an ``ExplicitFamily`` from ``EXPLICIT_FAMILIES`` (one
 point of a skeleton inflated into a monotone run per member; the verifier
 checks its size and set in one collecting walk).  The findings are data too:
-each of ``_FINDINGS`` lists its evidence as (key, probe, *args) items that
-``_build_findings`` evaluates in order on every run (probes: counts, avoiders,
-formula values, fixed sets, the table-4 audit; a length None is the n_max).
+each of ``_FINDINGS`` has evidence items (key, probe, *args), which
+``_build_findings`` evaluates on every run (a length None is the n_max), and
+a predicate over that evidence, which decides the finding's status.
 
 Known misprints in the printed tables are pre-registered findings: the row
 encodings below already carry the corrected members, and ``verify`` recomputes
@@ -559,7 +559,7 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     # the universes hold increasing set sizes, so members are in canonical set order
     pairs = {s: _check_pair(s, entries[s], counts[s], values, n_max) for s in members}
     audits = {tid: _table_audit(tid, [pairs[s] for s in universe]) for tid, universe in universes.items()}
-    findings = _build_findings(n_max, audits[4], pairs)
+    findings = _build_findings(n_max, audits, pairs)
     return VerificationReport(
         n_max=n_max,
         jobs=jobs,
@@ -570,59 +570,83 @@ def verify(n_max: int = 9, jobs: Optional[int] = None) -> VerificationReport:
     )
 
 
-# (id, kind, printed, resolution, evidence); a resolution may name n_max as %(n_max)d
+def _follows(counts: list[int], f: Callable[[int], int]) -> bool:
+    # a count list, from n = 0, equals f(n) from n = 1 on
+    return counts[1:] == [f(n) for n in range(1, len(counts))]
+
+
+def _family(literal: str, n: int) -> list[str]:
+    # an explicit family's members of length n, sorted as the avoider probe lists them
+    family = next(f for f in EXPLICIT_FAMILIES.values() if f.name == literal)
+    return sorted(map(format_permutation, family.build(n)))
+
+
+# (id, kind, printed, resolution, evidence, holds); a resolution may name n_max as %(n_max)d
 _NN2 = BinomialPoly(((1, 0, 2),), 1).eval  # C(n,2)+1, from n = 0
-_FINDINGS: tuple[tuple[str, str, str, str, tuple[tuple, ...]], ...] = (
+_FINDINGS: tuple[tuple[str, str, str, str, tuple[tuple, ...], Callable[[dict], bool]], ...] = (
     ("containment-wording", "definition-wording",
      "the defining sentence introduces 'avoids' with the clause that defines containment",
      "standard semantics implemented: containment = an order-isomorphic subsequence exists",
-     (("S4_avoiders_of_132", "count", "132", 4),)),
+     (("S4_avoiders_of_132", "count", "132", 4),),
+     lambda e: e["S4_avoiders_of_132"] == Catalan().eval(4)),
     ("reversal-image-misprint", "misprint",
      "one printed derivation states r({213,132,4321}) = {132,213,4231}",
      "direct reversal gives {231;312;1234}; both classes count C(n,2)+1 so the conclusion stands",
      (("recomputed_r_image", "literal", apply_set("r", parse_pattern_set("213;132;4321"))),
       ("counts_printed_image", "counts", "132;213;4231", 6),
-      ("counts_recomputed_image", "counts", "1234;231;312", 6))),
+      ("counts_recomputed_image", "counts", "1234;231;312", 6)),
+     lambda e: e["recomputed_r_image"] == "231;312;1234"
+     and _follows(e["counts_printed_image"], _NN2) and _follows(e["counts_recomputed_image"], _NN2)),
     ("nn2-lists-contained-tau", "row-correction",
      "{213,312,1324} listed under the C(n,2)+1 block",
      "1324 contains 213, so the set counts 2^(n-1) and belongs to the 2^(n-1) predicate row",
      (("counts", "counts", "1324;213;312", 6),
       ("expected_if_nn2", "values", _NN2, 0, 6),
-      ("expected_pow2", "values", lambda n: 2 ** n // 2, 0, 6))),  # 2^(n-1), and 0 at n = 0
+      ("expected_pow2", "values", lambda n: 2 ** n // 2, 0, 6)),  # 2^(n-1), and 0 at n = 0
+     lambda e: e["counts"][1:] == e["expected_pow2"][1:]),
     ("nn2-missing-class", "row-correction",
      "the C(n,2)+1 block claims 118 sets but its printed members reach only 114",
      "the class of {132,213,3421} (4 sets) counts C(n,2)+1 for n <= %(n_max)d and completes the block",
      (("counts", "counts", "132;213;3421", None),
       ("expected", "values", _NN2, 0, None),
-      ("class_members", "literals", orbit(parse_pattern_set("132;213;3421")).members))),
+      ("class_members", "literals", orbit(parse_pattern_set("132;213;3421")).members)),
+     lambda e: e["counts"] == e["expected"] and len(e["class_members"]) == 4),
     ("nn2-duplicate-tau-item", "misprint",
      "the tau list printed for T={213,321} reads {1324,2314,1324} (a duplicate)",
      "every tau containing 213 or 321 gives C(n,2)+1 for that T; full list recomputed",
-     (("taus_with_nn2_counts_n_le_6", "taus", "213;321", _NN2, 6),)),
+     (("taus_with_nn2_counts_n_le_6", "taus", "213;321", _NN2, 6),),
+     lambda e: e["taus_with_nn2_counts_n_le_6"]
+     == [format_permutation(t) for t in S4 if _CONTAINED[t] & {P213, P321}]),
     ("2n2-item-prints-3412", "misprint",
      "one C(n,2)+1 item names (213,312,3412)",
      "3412 contains 312, so that set counts 2^(n-1); the proven class is {213,312,2341}",
-     (("counts_printed", "counts", "213;312;3412", 6), ("counts_proven", "counts", "213;312;2341", 6))),
+     (("counts_printed", "counts", "213;312;3412", 6), ("counts_proven", "counts", "213;312;2341", 6)),
+     lambda e: _follows(e["counts_printed"], lambda n: 2 ** (n - 1)) and _follows(e["counts_proven"], _NN2)),
     ("pow2-duplicate-pair", "misprint",
      "the 2^(n-1) item lists the pair (132,231) twice",
      "the three 2^(n-1) pair classes are derived by orbit closure (10 pairs)",
-     (("pairs", "literals", _POW2_PAIRS),)),
+     (("pairs", "literals", _POW2_PAIRS),),
+     lambda e: len(set(e["pairs"])) == len(e["pairs"]) == 10),
     ("n-row-merged-conditions", "row-correction",
      "the count-n row names one T class with 'tau contains a member or tau=3412'",
      "encoded as every count-n triple with containing tau, plus cls{123,132,213,3412} "
      "(the 3412 case belongs to the Fibonacci triple, not the printed class)",
      (("counts_special", "counts", "123;132;213;3412", None),
-      ("counts_special_mirror", "counts", "2143;231;312;321", None))),
+      ("counts_special_mirror", "counts", "2143;231;312;321", None)),
+     lambda e: _follows(e["counts_special"], lambda n: n) and e["counts_special_mirror"] == e["counts_special"]),
     ("three-row-unproven-class", "misprint",
      "the count-3 row lists {123,231,312,3214}, a class no explicit avoider list covers",
      "oracle confirms count 3 from n = 3",
-     (("counts", "counts", "123;231;312;3214", None),)),
+     (("counts", "counts", "123;231;312;3214", None),),
+     lambda e: _follows(e["counts"], lambda n: min(n, 3))),
     ("four-row-reps", "row-correction",
      "the count-4 row prints representatives {123,231,312,3421} and {123,231,312,4231}",
      "3421 contains 231 (count n by redundancy); the proven classes are "
      "{123,132,213,3421} and {123,132,213,4231}",
      (("counts_printed_rep", "counts", "123;231;312;3421", 6),
-      ("counts_corrected_rep", "counts", "123;132;213;3421", 6))),
+      ("counts_corrected_rep", "counts", "123;132;213;3421", 6)),
+     lambda e: _follows(e["counts_printed_rep"], lambda n: n)
+     and _follows(e["counts_corrected_rep"], lambda n: min(n, 4))),
     ("explicit3-witness-typos", "misprint",
      "several 3-element avoider lists print the ascending witness delta_n where T "
      "forbids it (items with 123 in T, and the 1234 item); one item prints "
@@ -630,20 +654,24 @@ _FINDINGS: tuple[tuple[str, str, str, str, tuple[tuple, ...]], ...] = (
      "corrected witnesses encoded per family; set equality verified against the "
      "enumerator on the full validity range",
      (("example", "literal", parse_pattern_set("123;132;231;3214")),
-      ("avoiders_n5", "avoiders", "123;132;231;3214", 5))),
+      ("avoiders_n5", "avoiders", "123;132;231;3214", 5)),
+     lambda e: e["avoiders_n5"] == _family(e["example"], 5)),
     ("explicit4-lists-swapped", "misprint",
      "the two 4-element avoider lists are printed under each other's extra pattern "
      "(and one member repeats 'n-1')",
      "lists swapped back and the garbled member read as (n-1,n,n-2,...,3,1,2); "
      "oracle confirms both families",
      (("avoiders_3421_n4", "avoiders", "123;132;213;3421", 4),
-      ("avoiders_4231_n4", "avoiders", "123;132;213;4231", 4))),
+      ("avoiders_4231_n4", "avoiders", "123;132;213;4231", 4)),
+     lambda e: e["avoiders_3421_n4"] == _family("123;132;213;3421", 4)
+     and e["avoiders_4231_n4"] == _family("123;132;213;4231", 4)),
     ("singleton-conclusions-swapped", "misprint",
      "the five-triple singleton rows conclude {(n,...,1)} when 123 is missing and "
      "{(1,...,n)} when 321 is missing",
      "conclusions swapped: forbidding everything but 123 leaves the ascending "
      "permutation, and vice versa",
-     (("avoiders_missing123_n5", "avoiders", "132;213;231;312;321;2143", 5),)),
+     (("avoiders_missing123_n5", "avoiders", "132;213;231;312;321;2143", 5),),
+     lambda e: e["avoiders_missing123_n5"] == ["12345"]),
     ("three-zero-threshold-exception", "claim-correction",
      "the claimed zero threshold for three-triple sets is n >= 6 whenever 123 is in "
      "T and t = 4321 (or the mirror condition)",
@@ -653,26 +681,31 @@ _FINDINGS: tuple[tuple[str, str, str, str, tuple[tuple, ...]], ...] = (
      (("counts_fib_triple", "counts", "123;132;213;4321", 7),
       ("counts_other_triple", "counts", "123;231;312;4321", 7),
       ("survivor_n6_fib_triple", "joined", "123;132;213;4321", 6),
-      ("survivor_n6_other_triple", "joined", "123;231;312;4321", 6))),
+      ("survivor_n6_other_triple", "joined", "123;231;312;4321", 6)),
+     lambda e: e["counts_fib_triple"][6:] == e["counts_other_triple"][6:] == [1, 0]),
     ("fibonacci-indexing", "threshold-calibration",
      "the pair-table Fibonacci row prints f(2n-2) with no initial conditions",
      "under f(1)=f(2)=1 the matching index is f(2n-1) (equivalently the printed "
      "index under f(0)=f(1)=1); calibrated against the oracle at n=2..5",
-     (("counts_123_1432", "counts", "123;1432", 5), ("f_2n_minus_1", "values", FibonacciForm(2, -1).eval, 1, 5))),
+     (("counts_123_1432", "counts", "123;1432", 5), ("f_2n_minus_1", "values", FibonacciForm(2, -1).eval, 1, 5)),
+     lambda e: e["counts_123_1432"][1:] == e["f_2n_minus_1"]),
     ("table4-claimed-sizes", "claimed-size-mismatch",
      "the last table claims row sizes 348, 100 and 56 (sum 504 of a 528-set universe)",
      "the stated zero-row and count-2-row conditions reach 250 and 198 sets; the "
      "claimed total 504 is met exactly under the strict-subset premise, leaving "
      "the 24 sets with all six length-3 patterns uncovered (surfaced with oracle "
      "counts)",
-     (("claimed_vs_computed", "t4 sizes"), ("covered", "t4 covered"), ("uncovered", "t4 uncovered"))),
+     (("claimed_vs_computed", "t4 sizes"), ("covered", "t4 covered"), ("uncovered", "t4 uncovered")),
+     lambda e: [c for _, c in e["claimed_vs_computed"].values()] == [250, 198, 56]
+     and e["covered"] == sum(c for c, _ in e["claimed_vs_computed"].values()) and e["uncovered"] == 24),
 )
 
 
-def _build_findings(n_max: int, t4: dict, pairs: dict[PatternSet, PairCheck]) -> list[dict]:
-    """Pre-registered misprint findings with recomputed evidence (the table-4
-    figures read from its audit ``t4``), then one open finding per mismatched
-    check of ``pairs``, in their canonical set order."""
+def _build_findings(n_max: int, audits: dict[int, dict], pairs: dict[PatternSet, PairCheck]) -> list[dict]:
+    """Pre-registered findings with recomputed evidence, each "confirmed" or
+    "refuted" by its predicate over it; then one open finding per mismatched
+    check of ``pairs`` in canonical set order, and one per row of ``audits``
+    whose size is off its claim (4.zero's and 4.two's are pre-registered)."""
     # each probe looks up count_table, count_tables and enumerate_avoiders
     # when it runs, so a tracer that rebinds those names sees its calls
     probes: dict[str, Callable] = {
@@ -689,25 +722,27 @@ def _build_findings(n_max: int, t4: dict, pairs: dict[PatternSet, PairCheck]) ->
             for tau, t in zip(S4, count_tables([parse_pattern_set(lit) | {tau} for tau in S4], n))
             if list(t.counts[1:]) == probes["values"](f, 1, n)
         ],
-        "t4 sizes": lambda: {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in t4["rows"]},
-        "t4 covered": lambda: t4["coverage"]["covered"],
-        "t4 uncovered": lambda: len(t4["coverage"]["uncovered"]),
+        "t4 sizes": lambda: {r["row_id"]: (r["claimed_size"], r["computed_size"]) for r in audits[4]["rows"]},
+        "t4 covered": lambda: audits[4]["coverage"]["covered"],
+        "t4 uncovered": lambda: len(audits[4]["coverage"]["uncovered"]),
     }
-    return [
-        {
-            "id": fid, "kind": kind, "printed": printed,
-            "resolution": resolution % {"n_max": n_max},
-            # a length None is the run's n_max
-            "evidence": {key: probes[probe](*(n_max if a is None else a for a in args))
-                         for key, probe, *args in evidence},
-            "status": "confirmed",
-        }
-        for fid, kind, printed, resolution, evidence in _FINDINGS
-    ] + [
+    findings = []
+    for fid, kind, printed, resolution, items, holds in _FINDINGS:
+        evidence = {key: probes[probe](*(n_max if a is None else a for a in args)) for key, probe, *args in items}
+        status = "confirmed" if holds(evidence) else "refuted"
+        findings.append({"id": fid, "kind": kind, "printed": printed, "resolution": resolution % {"n_max": n_max},
+                         "evidence": evidence, "status": status})
+    return findings + [
         {
             "id": f"unexpected-mismatch:{c.literal}", "kind": "unexpected-mismatch",
             "printed": c.row_id, "resolution": "formula disagrees with the oracle; investigate",
             "evidence": {"set": c.literal, "mismatch_ns": list(c.mismatch_ns)}, "status": "open",
         }
         for c in pairs.values() if c.verdict == "mismatch"
+    ] + [
+        {"id": f"unexpected-size:{r['row_id']}", "kind": "unexpected-size", "printed": r["row_id"],
+         "resolution": "row size differs from its claim; investigate",
+         "evidence": {"claimed_size": r["claimed_size"], "computed_size": r["computed_size"]}, "status": "open"}
+        for audit in audits.values() for r in audit["rows"]
+        if r["computed_size"] != r["claimed_size"] and r["row_id"] not in ("4.zero", "4.two")
     ]

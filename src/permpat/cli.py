@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error (bad literal or number, cap exceeded)
 or a failed run (a dead worker process, an unwritable --out path, a stdout
-that its reader closed, which alone prints no error line), 2 when ``verify``
-found formula/oracle mismatches outside the pre-registered findings.  The
+that its reader closed, which alone prints no error line), 2 when a finding
+of ``verify`` is not confirmed: a refuted pre-registered finding, a
+formula/oracle mismatch or a row size off its claim.  The
 hard cap on n (default 11), which for ``nu`` bounds k + power, keeps runs
 desk-scale; override with the PERMPAT_NMAX_CAP environment variable.
 """
@@ -36,7 +37,7 @@ from .symmetry import orbit
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; the contract reserves 2 for
-    # verification mismatches, so usage problems must exit 1 instead
+    # a failed verification, so usage problems must exit 1 instead
     def error(self, message):
         raise ValueError(message)
 
@@ -186,10 +187,13 @@ def _run(args) -> int:
             buf = io.StringIO()
             csv.writer(buf).writerows(report.to_csv_rows())
             _emit(buf.getvalue(), args.out)
-        bad = report.unexpected_mismatches
-        if bad:
-            print(f"verification found {len(bad)} unexpected mismatches", file=sys.stderr)
-            return 2
+        failed = [f for f in report.findings if f["status"] != "confirmed"]
+        if report.unexpected_mismatches:
+            print(f"verification found {len(report.unexpected_mismatches)} unexpected mismatches", file=sys.stderr)
+        for f in failed:
+            if f["kind"] != "unexpected-mismatch":
+                print(f"verification found finding {f['id']} {f['status']}", file=sys.stderr)
+        return 2 if failed else 0
     return 0
 
 

@@ -229,9 +229,13 @@ MUTANTS = [
      "format_pattern_set(table.pattern_set)",
      "classify prints the orbit's representative, which need not be the set"),
     ("verify-mismatch-exits-zero", "src/permpat/cli.py",
-     "            return 2\n",
-     "            return 0\n",
-     "verify exits 2 when it finds mismatches outside the pre-registered findings"),
+     "return 2 if failed else 0",
+     "return 0",
+     "verify exits 2 when some finding is not confirmed"),
+    ("verify-exit-reads-pairs-only", "src/permpat/cli.py",
+     "return 2 if failed else 0",
+     "return 2 if report.unexpected_mismatches else 0",
+     "a refuted finding or a row size off its claim fails the run as a pair mismatch does"),
     ("number-any-int", "src/permpat/cli.py",
      "if not _INT.fullmatch(text):",
      "if False:",
@@ -296,6 +300,18 @@ MUTANTS = [
      "n_max if a is None else a",
      "n_max - 1 if a is None else a",
      "an evidence length None is the run's own n_max, at every n_max"),
+    ("finding-status-always-confirmed", CATALOG,
+     'status = "confirmed" if holds(evidence) else "refuted"',
+     'status = "confirmed"',
+     "a finding's status is decided by its predicate over the evidence, not written"),
+    ("table4-predicate-always-holds", CATALOG,
+     'lambda e: [c for _, c in e["claimed_vs_computed"].values()] == [250, 198, 56]',
+     'lambda e: True or [c for _, c in e["claimed_vs_computed"].values()] == [250, 198, 56]',
+     "the table-4 finding holds only if the computed row sizes are the corrected ones"),
+    ("row-size-comparison-dropped", CATALOG,
+     'if r["computed_size"] != r["claimed_size"] and',
+     "if False and",
+     "a row whose computed size is off its claim is an open finding"),
 ]
 
 EQUIVALENT = [

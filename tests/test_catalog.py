@@ -594,3 +594,94 @@ def test_forced_mismatch_reaches_findings_audits_csv_and_exit_code(monkeypatch, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.strip() == "verification found 4 unexpected mismatches"
+
+
+def test_forced_count_refutes_its_finding_and_exits_two(monkeypatch, capsys):
+    # a wrong count that reaches only a finding's evidence, not a pair check
+    # (those take their counts from count_tables), must refute that finding
+    # and fail the run with a line that names it
+    from permpat.cli import main
+
+    target = parse_pattern_set("123;231;312;3214")
+    real = catalog.count_table
+
+    def off_by_one(s, n_max):
+        table = real(s, n_max)
+        if s == target and n_max >= 5:
+            table = table._replace(counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
+        return table
+
+    monkeypatch.setattr(catalog, "count_table", off_by_one)
+    report = verify(6)
+    assert report.unexpected_mismatches == []
+    statuses = {f["id"]: f["status"] for f in report.findings}
+    assert statuses.pop("three-row-unproven-class") == "refuted"
+    assert len(statuses) == 15 and set(statuses.values()) == {"confirmed"}
+
+    code = main(["verify", "--nmax", "6"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["verification found finding three-row-unproven-class refuted"]
+
+
+def test_row_size_off_its_claim_is_an_open_finding_and_exits_two(monkeypatch, capsys):
+    # every row's computed size is checked against its claim, not only in the
+    # tests; 4.zero's and 4.two's are decided by table4-claimed-sizes
+    from permpat.cli import main
+
+    rows = {tid: tuple(r._replace(claimed_size=117) if r.row_id == "2.nn2" else r for r in table)
+            for tid, table in catalog._ROWS.items()}
+    monkeypatch.setattr(catalog, "_ROWS", rows)
+    report = verify(4)
+    assert report.unexpected_mismatches == []
+    assert [f for f in report.findings if f["status"] != "confirmed"] == [{
+        "id": "unexpected-size:2.nn2", "kind": "unexpected-size", "printed": "2.nn2",
+        "resolution": "row size differs from its claim; investigate",
+        "evidence": {"claimed_size": 117, "computed_size": 118}, "status": "open",
+    }]
+
+    code = main(["verify", "--nmax", "4"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["verification found finding unexpected-size:2.nn2 open"]
+
+
+def _nn2(n):
+    return n * (n - 1) // 2 + 1
+
+
+# per finding, one evidence item of verify(9) and what the printed tables
+# would make it; every predicate must reject the printed version
+PRINTED_EVIDENCE = {
+    "containment-wording": ("S4_avoiders_of_132", 10),  # the 132-containing permutations of S_4
+    "reversal-image-misprint": ("recomputed_r_image", "132;213;4231"),
+    "nn2-lists-contained-tau": ("counts", [_nn2(n) for n in range(7)]),
+    "nn2-missing-class": ("counts", [1] + [2 ** (n - 1) for n in range(1, 10)]),
+    "nn2-duplicate-tau-item": ("taus_with_nn2_counts_n_le_6", ["1324", "2314", "1324"]),
+    "2n2-item-prints-3412": ("counts_printed", [_nn2(n) for n in range(7)]),
+    "pow2-duplicate-pair": ("pairs", ["123;132", "123;213", "132;213", "132;231", "132;231", "132;312",
+                                      "213;231", "213;312", "231;312", "231;321", "312;321"]),
+    "n-row-merged-conditions": ("counts_special", [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]),  # f(n+1)
+    "three-row-unproven-class": ("counts", [1, 1, 2, 3, 3, 3, 4, 3, 3, 3]),
+    "four-row-reps": ("counts_corrected_rep", [1, 1, 2, 3, 4, 5, 6]),
+    "explicit3-witness-typos": ("avoiders_n5", ["54213", "54312", "12345"]),
+    "explicit4-lists-swapped": ("avoiders_3421_n4", ["3412", "3421", "4312", "4321"]),
+    "singleton-conclusions-swapped": ("avoiders_missing123_n5", ["54321"]),
+    "three-zero-threshold-exception": ("counts_fib_triple", [1, 1, 2, 3, 4, 3, 0, 0]),
+    "fibonacci-indexing": ("f_2n_minus_1", [0, 1, 3, 8, 21]),  # f(2n-2), f(1) = f(2) = 1
+    "table4-claimed-sizes": ("claimed_vs_computed", {"4.zero": (348, 348), "4.two": (100, 100), "4.one": (56, 56)}),
+}
+
+
+@pytest.fixture(scope="module")
+def findings9():
+    return {f["id"]: f for f in verify(9).findings}
+
+
+@pytest.mark.parametrize("fid", [f[0] for f in catalog._FINDINGS])
+def test_every_finding_rejects_the_printed_version(fid, findings9):
+    holds = next(f[-1] for f in catalog._FINDINGS if f[0] == fid)
+    evidence = dict(findings9[fid]["evidence"])
+    assert findings9[fid]["status"] == "confirmed" and holds(evidence)
+    key, printed = PRINTED_EVIDENCE[fid]
+    assert key in evidence and evidence[key] != printed
+    evidence[key] = printed
+    assert not holds(evidence)
