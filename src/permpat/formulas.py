@@ -4,7 +4,8 @@ Every variant evaluates exactly in integer arithmetic; no floats anywhere.
 Fibonacci values use the f(1) = f(2) = 1 convention and every row that needs
 a different indexing carries an explicit calibrated index map (see
 ``catalog.CALIBRATION``).  Tribonacci values are seeded t(1), t(2), t(3) =
-1, 2, 4, matching the oracle counts of the row that uses them.
+1, 2, 4, matching the oracle counts of the row that uses them.  Both are
+read by ``gf_coefficients`` as [x^m] x/(1-x-x^2) and [x^m] 1/(1-x-x^2-x^3).
 
 Every polynomial claim, constants and linear forms included, is a
 ``BinomialPoly``: a sum of coefficient * C(n + offset, k) terms plus a
@@ -53,26 +54,6 @@ def inflate(skeleton: tuple[int, ...], i: int, descending: bool, n: int) -> tupl
     return (*rest[:i], *run, *rest[i + 1 :])
 
 
-def fibonacci(m: int) -> int:
-    """Fibonacci numbers with f(1) = f(2) = 1."""
-    if m < 1:
-        raise ValueError(f"fibonacci index must be >= 1, got {m}")
-    a, b = 1, 1
-    for _ in range(m - 1):
-        a, b = b, a + b
-    return a
-
-
-def tribonacci(m: int) -> int:
-    """Tribonacci numbers with t(1), t(2), t(3) = 1, 2, 4."""
-    if m < 1:
-        raise ValueError(f"tribonacci index must be >= 1, got {m}")
-    a, b, c = 1, 2, 4
-    for _ in range(m - 1):
-        a, b, c = b, c, a + b + c
-    return a
-
-
 def gf_coefficients(num: Sequence[int], den: Sequence[int], n_max: int) -> list[int]:
     """Power-series coefficients a_0..a_n_max of num(x)/den(x).
 
@@ -98,6 +79,13 @@ def gf_coefficients(num: Sequence[int], den: Sequence[int], n_max: int) -> list[
             raise ValueError("series coefficients are not integral")
         coeffs.append(q)
     return coeffs
+
+
+def _term(num: Sequence[int], den: Sequence[int], m: int) -> int:
+    # [x^m] num(x)/den(x) for the Fibonacci and Tribonacci values, which start at m = 1
+    if m < 1:
+        raise ValueError(f"series index must be >= 1, got {m}")
+    return gf_coefficients(num, den, m)[m]
 
 
 # --- formula variants ------------------------------------------------------
@@ -174,7 +162,7 @@ class FibonacciForm(NamedTuple):
     addend: int = 0
 
     def eval(self, n: int) -> int:
-        return fibonacci(self.stretch * n + self.offset) + self.addend
+        return _term((0, 1), (1, -1, -1), self.stretch * n + self.offset) + self.addend
 
     def render(self) -> str:
         idx = f"{self.stretch}n" if self.stretch != 1 else "n"
@@ -187,7 +175,7 @@ class FibonacciForm(NamedTuple):
 @_by_class
 class TribonacciForm(NamedTuple):
     def eval(self, n: int) -> int:
-        return tribonacci(n)
+        return _term((1,), (1, -1, -1, -1), n)
 
     def render(self) -> str:
         return "t(n) [t(1),t(2),t(3)=1,2,4]"

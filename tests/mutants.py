@@ -116,6 +116,14 @@ MUTANTS = [
      "        if c == 0:\n            continue\n",
      "",
      "a zero coefficient of a generating function is left out, not printed as 0x"),
+    ("tribonacci-denominator-cut", "src/permpat/formulas.py",
+     "_term((1,), (1, -1, -1, -1), n)",
+     "_term((1,), (1, -1, -1), n)",
+     "1/(1-x-x^2) gives 1, 2, 3, 5 for t(1)..t(4), not the Tribonacci 1, 2, 4, 7"),
+    ("series-index-guard-off-by-one", "src/permpat/formulas.py",
+     "    if m < 1:\n",
+     "    if m < 0:\n",
+     "the Fibonacci and Tribonacci values start at index 1, so index 0 must raise"),
     ("family-run-direction-flipped", CATALOG,
      '"123;132;231;3214": (((4, 2, 1, 3), 0, True),',
      '"123;132;231;3214": (((4, 2, 1, 3), 0, False),',

@@ -214,6 +214,40 @@ def test_one_walk_of_the_representatives_matches_their_own_walks(monkeypatch):
         assert count_table(s, 7).counts == counts
 
 
+WALK_WORK_SCRIPT = """
+import sys
+from permpat import enumeration
+from permpat.catalog import expand_universe
+from permpat.symmetry import partition_into_classes
+
+reps = [o.representative for o in partition_into_classes(s for tid in (1, 2, 3, 4) for s in expand_universe(tid))]
+real, work = enumeration._fold, [len(reps), 0, 0]
+
+def counting(child, plans, full):
+    # a long q's scan has its one plan of k >= 3; a short-fold cell's plans have k <= 2
+    work[1 if any(plan[0] > 2 for plan in plans) else 2] += 1
+    return real(child, plans, full)
+
+enumeration._fold = counting
+enumeration._TABLE_CACHE.clear()
+enumeration.count_tables(reps, 9, jobs=1)
+sys.stdout.write(repr(work))
+"""
+
+
+def test_walk_work_of_the_representatives_is_pinned():
+    # verify counts the canonical representative of each of the 283 orbits;
+    # at n = 9 its one walk scans a long q 15,974 times and fills 426
+    # short-fold cells, under every hash seed; counting a random member of
+    # each orbit instead scans 25,633-29,093 times, and the walk is that much slower
+    src = Path(enumeration.__file__).resolve().parent.parent
+    for seed in ("0", "1", "2", "random"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", WALK_WORK_SCRIPT], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[283, 15974, 426]", seed
+
+
 def test_degenerate_sets_share_a_walk_with_ordinary_ones():
     # one walk of all five sets; the empty pattern and the single point end
     # their own branches

@@ -13,11 +13,9 @@ from permpat.formulas import (
     ZeroBeyond,
     binomial,
     evaluate,
-    fibonacci,
     gf_coefficients,
     inflate,
     render,
-    tribonacci,
 )
 
 
@@ -39,6 +37,8 @@ def test_binomial_zero_below_diagonal():
 
 
 def test_fibonacci():
+    # f(m) = [x^m] x/(1-x-x^2), read as FibonacciForm(1, 0) at n = m
+    fibonacci = FibonacciForm(1, 0).eval
     assert [fibonacci(m) for m in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
     assert fibonacci(6) == 8 and fibonacci(7) == 13
     for m in range(3, 21):
@@ -48,6 +48,8 @@ def test_fibonacci():
 
 
 def test_tribonacci():
+    # t(m) = [x^m] 1/(1-x-x^2-x^3), read as TribonacciForm() at n = m
+    tribonacci = TribonacciForm().eval
     assert [tribonacci(m) for m in range(1, 8)] == [1, 2, 4, 7, 13, 24, 44]
     for m in range(4, 20):
         assert tribonacci(m) == tribonacci(m - 1) + tribonacci(m - 2) + tribonacci(m - 3)
