@@ -58,7 +58,6 @@ from .formulas import (
     CountFormula,
     ExplicitFamily,
     FibonacciForm,
-    PowerLinear,
     RationalGF,
     TribonacciForm,
     ZeroBeyond,
@@ -237,10 +236,10 @@ TABLE_ROWS: tuple[TableRow, ...] = (
                  "123;1432", "123;2143", "123;2413", "132;1234", "132;2134",
                  "132;2314", "132;2341", "132;3241", "132;3412")),
     TableRow(1, "1.power-linear", "cls{132,3421}, cls{132,4231}", 12,
-             "West; Guibert", PowerLinear(1, -1, -2, (), 1), 1,
+             "West; Guibert", BinomialPoly((), 1, lin_a=1, lin_b=-1, shift=-2), 1,
              members=_orbit_union("132;3421", "132;4231")),
     TableRow(1, "1.pow2-minus-triangle", "cls{123,2431}", 8,
-             "West", PowerLinear(0, 3, -1, ((-1, 1, 2),), -1), 1,
+             "West", BinomialPoly(((-1, 1, 2),), -1, lin_b=3, shift=-1), 1,
              members=_orbit_union("123;2431")),
     TableRow(1, "1.quartic-poly", "cls{123,3421}", 4,
              "West", BinomialPoly(((1, 0, 4), (2, 0, 3), (1, 0, 1)), 0), 1,
@@ -255,7 +254,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
              "Erdos-Szekeres", ZeroBeyond(7), 7,
              members=_orbit_union("123;4321")),
     TableRow(1, "1.pow2-minus-cubic", "cls{123,3412}", 2,
-             "Billey-Jockusch-Stanley", PowerLinear(0, 1, 1, ((-1, 1, 3), (-2, 0, 1)), -1), 1,
+             "Billey-Jockusch-Stanley", BinomialPoly(((-1, 1, 3), (-2, 0, 1)), -1, lin_b=1, shift=1), 1,
              members=_orbit_union("123;3412")),
     TableRow(1, "1.quintic-poly", "cls{123,4231}", 2,
              "West", BinomialPoly(((1, 0, 5), (2, 0, 4), (1, 0, 3), (1, 0, 2)), 1), 1,
@@ -263,7 +262,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 
     # ---- two length-3 patterns plus one length-4 pattern (360 sets)
     TableRow(2, "2.pow2", "pair in the 2^(n-1) class, t contains a member", 160,
-             "Simion-Schmidt; containment reduction", PowerLinear(0, 1, -1, (), 0), 1,
+             "Simion-Schmidt; containment reduction", BinomialPoly((), lin_b=1, shift=-1), 1,
              reduces=_POW2_PAIRS),
     TableRow(2, "2.nn2", "pair in the C(n,2)+1 class with t containing a member, "
                          "or one of 13 listed classes (one corrected)", 118,

@@ -9,8 +9,9 @@ read by ``gf_coefficients`` as [x^m] x/(1-x-x^2) and [x^m] 1/(1-x-x^2-x^3).
 
 Every polynomial claim, constants and linear forms included, is a
 ``BinomialPoly``: a sum of coefficient * C(n + offset, k) terms plus a
-constant, so a constant has no term and ``2n-2`` is one k = 1 term.
-``PowerLinear`` adds the same sum as its tail.
+constant, so a constant has no term and ``2n-2`` is one k = 1 term.  The
+power-of-two claims add (lin_a*n + lin_b) * 2^(n+shift), printed first.
+Binomials are ``math.comb``, which raises ValueError on a negative argument.
 
 A row whose claim lists its avoiders verbatim is an ``ExplicitFamily``: each
 member is a skeleton of a few points with one point inflated into a monotone
@@ -21,13 +22,6 @@ from __future__ import annotations
 
 from math import comb
 from typing import NamedTuple, Sequence
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero whenever n < k or n < 0 (table polynomials rely on this)."""
-    if n < 0 or k < 0 or n < k:
-        return 0
-    return comb(n, k)
 
 
 def inflate(skeleton: tuple[int, ...], i: int, descending: bool, n: int) -> tuple[int, ...]:
@@ -110,47 +104,31 @@ class Catalan(NamedTuple):
 
 @_by_class
 class BinomialPoly(NamedTuple):
-    """sum of coeff * C(n + offset, k) terms plus a constant."""
+    """(lin_a*n + lin_b) * 2^(n+shift) if lin_a or lin_b, plus coeff * C(n + offset, k) terms and a constant."""
 
     terms: tuple[tuple[int, int, int], ...]  # (coeff, offset, k)
     constant: int = 0
+    lin_a: int = 0
+    lin_b: int = 0
+    shift: int = 0
 
     def eval(self, n: int) -> int:
-        return sum(c * binomial(n + off, k) for c, off, k in self.terms) + self.constant
-
-    def render(self) -> str:
-        return _render_terms(self.terms, self.constant)
-
-
-@_by_class
-class PowerLinear(NamedTuple):
-    """(lin_a*n + lin_b) * 2^(n+shift) plus a binomial correction."""
-
-    lin_a: int
-    lin_b: int
-    shift: int
-    terms: tuple[tuple[int, int, int], ...] = ()
-    constant: int = 0
-
-    def eval(self, n: int) -> int:
-        coef = self.lin_a * n + self.lin_b
+        # with lin_a = lin_b = 0 the power term is 0 at every shift
         s = n + self.shift
-        if s >= 0:
-            power = coef << s
-        else:
-            power, r = divmod(coef, 1 << -s)
-            if r:
-                raise ValueError(f"2^({n}{self.shift:+d}) term is not integral at n={n}")
-        return power + BinomialPoly(self.terms, self.constant).eval(n)
+        power, r = divmod((self.lin_a * n + self.lin_b) << max(s, 0), 1 << max(-s, 0))
+        if r:
+            raise ValueError(f"2^({n}{self.shift:+d}) term is not integral at n={n}")
+        return power + sum(c * comb(n + off, k) for c, off, k in self.terms) + self.constant
 
     def render(self) -> str:
-        if self.lin_a == 0:
-            head = f"{self.lin_b}*" if self.lin_b != 1 else ""
-        else:
-            head = f"({self.lin_a}n{self.lin_b:+d})*" if self.lin_b else f"{self.lin_a}n*"
-        exp = f"n{self.shift:+d}" if self.shift else "n"
-        tail = _render_terms(self.terms, self.constant, leading=False)
-        return f"{head}2^({exp}){tail}"
+        head = ""
+        if self.lin_a or self.lin_b:
+            if self.lin_a == 0:
+                head = f"{self.lin_b}*" if self.lin_b != 1 else ""
+            else:
+                head = f"({self.lin_a}n{self.lin_b:+d})*" if self.lin_b else f"{self.lin_a}n*"
+            head += f"2^(n{self.shift:+d})" if self.shift else "2^(n)"
+        return (head + _render_terms(self.terms, self.constant)).removeprefix("+")
 
 
 @_by_class
@@ -224,7 +202,6 @@ class ExplicitFamily(NamedTuple):
 CountFormula = (
     Catalan
     | BinomialPoly
-    | PowerLinear
     | FibonacciForm
     | TribonacciForm
     | RationalGF
@@ -249,7 +226,7 @@ def _signed(c: int, base: str) -> str:
     return {1: "+", -1: "-"}.get(c, f"{c:+d}") + base
 
 
-def _render_terms(terms, constant, leading=True) -> str:
+def _render_terms(terms, constant) -> str:
     parts = []
     for c, off, k in terms:
         arg = "n" if not off else f"n{off:+d}"
@@ -260,10 +237,7 @@ def _render_terms(terms, constant, leading=True) -> str:
         parts.append(_signed(c, base))
     if constant:
         parts.append(f"{constant:+d}")
-    s = "".join(parts)
-    if leading and s.startswith("+"):
-        s = s[1:]
-    return s
+    return "".join(parts)
 
 
 def _render_poly(coeffs) -> str:

@@ -124,6 +124,18 @@ MUTANTS = [
      "    if m < 1:\n",
      "    if m < 0:\n",
      "the Fibonacci and Tribonacci values start at index 1, so index 0 must raise"),
+    ("power-term-remainder-unchecked", "src/permpat/formulas.py",
+     "        if r:\n            raise ValueError(f\"2^(",
+     "        if False:\n            raise ValueError(f\"2^(",
+     "a power term 2^(n+shift) with n + shift < 0 must divide exactly, or its value is not the claim's"),
+    ("render-leading-plus-kept", "src/permpat/formulas.py",
+     '.removeprefix("+")',
+     "",
+     "a claim whose first term is positive prints without a leading +"),
+    ("unused-import-in-formulas", "src/permpat/formulas.py",
+     "from math import comb\n",
+     "from math import comb, factorial\n",
+     "an import that its module never reads is a leftover"),
     ("family-run-direction-flipped", CATALOG,
      '"123;132;231;3214": (((4, 2, 1, 3), 0, True),',
      '"123;132;231;3214": (((4, 2, 1, 3), 0, False),',

@@ -1,17 +1,17 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from permpat.catalog import TABLE_ROWS
 from permpat.formulas import (
     BinomialPoly,
     Catalan,
     ExplicitFamily,
     FibonacciForm,
-    PowerLinear,
     RationalGF,
     TribonacciForm,
     ZeroBeyond,
-    binomial,
     evaluate,
     gf_coefficients,
     inflate,
@@ -31,9 +31,12 @@ def test_catalan_identity():
 
 
 def test_binomial_zero_below_diagonal():
-    assert binomial(3, 4) == 0
-    assert binomial(-1, 2) == 0
-    assert binomial(5, 2) == 10
+    # C(n + offset, k) is zero below the diagonal and raises for a negative
+    # argument, where the printed polynomial is not zero
+    assert BinomialPoly(((1, 0, 4),)).eval(3) == 0
+    assert BinomialPoly(((1, 0, 2),)).eval(5) == 10
+    with pytest.raises(ValueError):
+        BinomialPoly(((1, -2, 2),)).eval(1)
 
 
 def test_fibonacci():
@@ -58,16 +61,16 @@ def test_tribonacci():
 
 
 def test_power_linear_values():
-    one_plus = PowerLinear(1, -1, -2, (), 1)  # 1+(n-1)2^(n-2)
+    one_plus = BinomialPoly((), 1, lin_a=1, lin_b=-1, shift=-2)  # 1+(n-1)2^(n-2)
     assert [evaluate(one_plus, n) for n in (1, 2, 3, 4)] == [1, 2, 5, 13]
-    three_pow = PowerLinear(0, 3, -1, ((-1, 1, 2),), -1)  # 3*2^(n-1)-C(n+1,2)-1
+    three_pow = BinomialPoly(((-1, 1, 2),), -1, lin_b=3, shift=-1)  # 3*2^(n-1)-C(n+1,2)-1
     assert [evaluate(three_pow, n) for n in (1, 2, 3, 4)] == [1, 2, 5, 13]
-    bjs = PowerLinear(0, 1, 1, ((-1, 1, 3), (-2, 0, 1)), -1)  # 2^(n+1)-C(n+1,3)-2n-1
+    bjs = BinomialPoly(((-1, 1, 3), (-2, 0, 1)), -1, lin_b=1, shift=1)  # 2^(n+1)-C(n+1,3)-2n-1
     assert [evaluate(bjs, n) for n in (1, 2, 3, 4)] == [1, 2, 5, 13]
-    pow2 = PowerLinear(0, 1, -1, (), 0)
+    pow2 = BinomialPoly((), lin_b=1, shift=-1)
     assert [evaluate(pow2, n) for n in (1, 2, 5)] == [1, 2, 16]
     with pytest.raises(ValueError, match="not integral"):
-        PowerLinear(1, 0, -3).eval(1)
+        BinomialPoly((), lin_a=1, shift=-3).eval(1)
 
 
 def test_fibonacci_forms():
@@ -141,6 +144,54 @@ def test_render_strings():
     assert render(BinomialPoly(((-1, 0, 1),), 10)) == "-n+10"
     assert "C(n,2)" in render(BinomialPoly(((1, 0, 2),), 1))
     assert "f(2n-1)" in render(FibonacciForm(2, -1, 0))
-    assert "2^(n-1)" in render(PowerLinear(0, 1, -1, (), 0))
+    assert "2^(n-1)" in render(BinomialPoly((), lin_b=1, shift=-1))
     assert "1-4x+5x^2-3x^3" in render(RationalGF((1, -3, 3, -1), (1, -4, 5, -3)))
     assert render(RationalGF((1, 0, -1), (1, 0, -2))) == "[x^n] 1-x^2/(1-2x^2)"
+
+
+def _rank(rows) -> int:
+    # the rank over the rationals, by Gaussian elimination
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            ratio = rows[i][col] / rows[rank][col]
+            rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _order_bound(f) -> int:
+    # the recurrence order each class gives its values
+    if isinstance(f, BinomialPoly):
+        poly = max((k for _, _, k in f.terms), default=0) + 1 if f.terms or f.constant else 0
+        return poly + (2 if f.lin_a else 1 if f.lin_b else 0)
+    if isinstance(f, FibonacciForm):
+        return 2 + (f.addend != 0)
+    if isinstance(f, RationalGF):
+        return len(f.den) - 1
+    return {TribonacciForm: 3, ZeroBeyond: 0, ExplicitFamily: 1}[type(f)]
+
+
+def test_every_claim_meets_its_class_recurrence_order():
+    # the least d for which the 30 windows a(m)..a(m+d) from the claim's
+    # threshold on have rank <= d: the values then satisfy a recurrence of
+    # order d there; each claim must need exactly its class's bound
+    claims = {(row.formula, row.valid_from) for row in TABLE_ROWS}
+    claims |= {claim for row in TABLE_ROWS for claim in row.claims.values()}
+    claims = {(f, vf) for f, vf in claims if f != Catalan()}
+    assert len(claims) == 39
+    least, bound = {}, {}
+    for f, vf in claims:
+        values = [f.eval(n) for n in range(vf, vf + 40)]
+        key = (render(f), vf)
+        least[key] = next(d for d in range(10) if _rank([values[m : m + d + 1] for m in range(30)]) <= d)
+        bound[key] = _order_bound(f)
+    assert least == bound
+    power_and_quintic = ("C(n,5)+2C(n,4)+C(n,3)+C(n,2)+1", "2^(n+1)-C(n+1,3)-2n-1",
+                         "3*2^(n-1)-C(n+1,2)-1", "(1n-1)*2^(n-2)+1")
+    assert [least[r, 1] for r in power_and_quintic] == [6, 5, 4, 3] and max(least.values()) == 6
