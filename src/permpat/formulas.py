@@ -13,6 +13,11 @@ constant, so a constant has no term and ``2n-2`` is one k = 1 term.  The
 power-of-two claims add (lin_a*n + lin_b) * 2^(n+shift), printed first.
 Binomials are ``math.comb``, which raises ValueError on a negative argument.
 
+Each class states the order of its values' recurrence (C-finite sequences:
+Kauers and Paule, *The Concrete Tetrahedron*, ch. 4).  ``order()`` is (d, n1):
+eval is defined from n1 on, and a(n) = c_1*a(n-1) + ... + c_d*a(n-d) with fixed
+c_i for every n >= n1 + d.  ``Catalan`` and ``ExplicitFamily`` give None.
+
 A row whose claim lists its avoiders verbatim is an ``ExplicitFamily``: each
 member is a skeleton of a few points with one point inflated into a monotone
 run (``inflate``), and the count is the size of that set at each n.
@@ -98,6 +103,9 @@ class Catalan(NamedTuple):
     def eval(self, n: int) -> int:
         return comb(2 * n, n) // (n + 1)
 
+    def order(self) -> None:
+        """None: the GF (1 - sqrt(1-4x))/(2x) is not rational, so no such recurrence holds."""
+
     def render(self) -> str:
         return "C(2n,n)/(n+1)"
 
@@ -120,6 +128,13 @@ class BinomialPoly(NamedTuple):
             raise ValueError(f"2^({n}{self.shift:+d}) term is not integral at n={n}")
         return power + sum(c * comb(n + off, k) for c, off, k in self.terms) + self.constant
 
+    def order(self) -> tuple[int, int]:
+        """A degree-k term has the root 1 k + 1 times from n + offset >= 0, where comb is defined, and
+        (lin_a*n + lin_b)*2^n the root 2 twice (once if lin_a = 0) from n + shift >= 0, where it is integral."""
+        power = 2 if self.lin_a else 1 if self.lin_b else 0
+        d = power + max((k + 1 for _, _, k in self.terms), default=1 if self.constant else 0)
+        return d, max(0, *(-off for _, off, _ in self.terms), -self.shift if power else 0)
+
     def render(self) -> str:
         head = ""
         if self.lin_a or self.lin_b:
@@ -138,9 +153,14 @@ class FibonacciForm(NamedTuple):
     stretch: int
     offset: int
     addend: int = 0
+    _gf = (0, 1), (1, -1, -1)  # f(m) = [x^m] x/(1-x-x^2)
 
     def eval(self, n: int) -> int:
-        return _term((0, 1), (1, -1, -1), self.stretch * n + self.offset) + self.addend
+        return _term(*self._gf, self.stretch * n + self.offset) + self.addend
+
+    def order(self) -> tuple[int, int]:
+        """f(m) is a sum of powers of the two roots of 1-x-x^2's reverse for m >= 1; an addend adds the root 1."""
+        return len(self._gf[1]) - 1 + (self.addend != 0), max(0, -((self.offset - 1) // self.stretch))
 
     def render(self) -> str:
         idx = f"{self.stretch}n" if self.stretch != 1 else "n"
@@ -152,8 +172,14 @@ class FibonacciForm(NamedTuple):
 
 @_by_class
 class TribonacciForm(NamedTuple):
+    _gf = (1,), (1, -1, -1, -1)  # t(m) = [x^m] 1/(1-x-x^2-x^3)
+
     def eval(self, n: int) -> int:
-        return _term((1,), (1, -1, -1, -1), n)
+        return _term(*self._gf, n)
+
+    def order(self) -> tuple[int, int]:
+        """t(m) is read from m = 1 as a series coefficient, so its denominator's degree is its order."""
+        return len(self._gf[1]) - 1, 1
 
     def render(self) -> str:
         return "t(n) [t(1),t(2),t(3)=1,2,4]"
@@ -167,6 +193,10 @@ class RationalGF(NamedTuple):
     def eval(self, n: int) -> int:
         return gf_coefficients(self.num, self.den, n)[n]
 
+    def order(self) -> tuple[int, int]:
+        """den * A = num makes a(n) a combination of the len(den) - 1 before it once n >= len(num)."""
+        return len(self.den) - 1, max(0, len(self.num) - len(self.den) + 1)
+
     def render(self) -> str:
         return f"[x^n] {_render_poly(self.num)}/({_render_poly(self.den)})"
 
@@ -177,6 +207,10 @@ class ZeroBeyond(NamedTuple):
 
     def eval(self, n: int) -> int:
         return 0
+
+    def order(self) -> tuple[int, int]:
+        """eval is 0 at every n, which is the recurrence of order 0."""
+        return 0, 0
 
     def render(self) -> str:
         return f"0 (n>={self.from_n})"
@@ -195,19 +229,14 @@ class ExplicitFamily(NamedTuple):
     def eval(self, n: int) -> int:
         return len(self.build(n))
 
+    def order(self) -> None:
+        """None: the size is compared as its row's constant, whose order that formula states."""
+
     def render(self) -> str:
         return f"|explicit avoider list [{self.name}]|"
 
 
-CountFormula = (
-    Catalan
-    | BinomialPoly
-    | FibonacciForm
-    | TribonacciForm
-    | RationalGF
-    | ZeroBeyond
-    | ExplicitFamily
-)
+CountFormula = Catalan | BinomialPoly | FibonacciForm | TribonacciForm | RationalGF | ZeroBeyond | ExplicitFamily
 
 
 def evaluate(formula: CountFormula, n: int) -> int:

@@ -117,9 +117,17 @@ MUTANTS = [
      "",
      "a zero coefficient of a generating function is left out, not printed as 0x"),
     ("tribonacci-denominator-cut", "src/permpat/formulas.py",
-     "_term((1,), (1, -1, -1, -1), n)",
-     "_term((1,), (1, -1, -1), n)",
+     "_gf = (1,), (1, -1, -1, -1)",
+     "_gf = (1,), (1, -1, -1)",
      "1/(1-x-x^2) gives 1, 2, 3, 5 for t(1)..t(4), not the Tribonacci 1, 2, 4, 7"),
+    ("power-order-of-linear-term-one", "src/permpat/formulas.py",
+     "power = 2 if self.lin_a else 1 if self.lin_b else 0",
+     "power = 1 if self.lin_a else 1 if self.lin_b else 0",
+     "(lin_a*n + lin_b)*2^n has the root 2 twice, so 1.power-linear needs order 3, not 2"),
+    ("fibonacci-order-start-one-early", "src/permpat/formulas.py",
+     "max(0, -((self.offset - 1) // self.stretch))",
+     "max(0, -((self.offset - 1) // self.stretch) - 1)",
+     "f(m) is defined from m = 1, so f(2n-1) read from n = 0 evaluates index -1 and raises"),
     ("series-index-guard-off-by-one", "src/permpat/formulas.py",
      "    if m < 1:\n",
      "    if m < 0:\n",

@@ -1,12 +1,16 @@
 from fractions import Fraction
 from math import comb
+from typing import get_args
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpat.catalog import TABLE_ROWS
 from permpat.formulas import (
     BinomialPoly,
     Catalan,
+    CountFormula,
     ExplicitFamily,
     FibonacciForm,
     RationalGF,
@@ -165,33 +169,71 @@ def _rank(rows) -> int:
     return rank
 
 
-def _order_bound(f) -> int:
-    # the recurrence order each class gives its values
-    if isinstance(f, BinomialPoly):
-        poly = max((k for _, _, k in f.terms), default=0) + 1 if f.terms or f.constant else 0
-        return poly + (2 if f.lin_a else 1 if f.lin_b else 0)
-    if isinstance(f, FibonacciForm):
-        return 2 + (f.addend != 0)
-    if isinstance(f, RationalGF):
-        return len(f.den) - 1
-    return {TribonacciForm: 3, ZeroBeyond: 0, ExplicitFamily: 1}[type(f)]
+def _fits(values, d) -> bool:
+    # the 30 windows values[m..m+d] have rank <= d: the values satisfy a
+    # recurrence of order d there
+    return _rank([values[m : m + d + 1] for m in range(30)]) <= d
+
+
+def _meets_its_order(f) -> bool:
+    # eval is defined on n1..n1+d+29 (a ValueError fails the caller) and the
+    # values fit order d from n1 on
+    d, n1 = f.order()
+    return _fits([f.eval(n) for n in range(n1, n1 + d + 30)], d)
+
+
+def test_every_class_states_its_order():
+    orders = {}
+    for row in TABLE_ROWS:
+        for f, _ in [(row.formula, row.valid_from), *row.claims.values()]:
+            orders.setdefault(type(f), set()).add(f.order())
+    assert set(orders) == set(get_args(CountFormula))
+    assert orders.pop(Catalan) == {None} and orders.pop(ExplicitFamily) == {None}
+    for stated in orders.values():
+        assert all(len(o) == 2 and all(type(x) is int and x >= 0 for x in o) for o in stated)
 
 
 def test_every_claim_meets_its_class_recurrence_order():
-    # the least d for which the 30 windows a(m)..a(m+d) from the claim's
-    # threshold on have rank <= d: the values then satisfy a recurrence of
-    # order d there; each claim must need exactly its class's bound
-    claims = {(row.formula, row.valid_from) for row in TABLE_ROWS}
-    claims |= {claim for row in TABLE_ROWS for claim in row.claims.values()}
-    claims = {(f, vf) for f, vf in claims if f != Catalan()}
-    assert len(claims) == 39
-    least, bound = {}, {}
-    for f, vf in claims:
-        values = [f.eval(n) for n in range(vf, vf + 40)]
+    # each claim other than Catalan meets its stated (d, n1), and the least d
+    # its values need from max(threshold, n1) on is exactly d; a family is
+    # compared as its row's constant, so it is held to that formula's order
+    claims = {}
+    for row in TABLE_ROWS:
+        for f, vf in [(row.formula, row.valid_from), *row.claims.values()]:
+            if f != Catalan():
+                claims[f, vf] = f if f.order() else row.formula
+    assert len(claims) == 39 and sum(g != f for (f, _), g in claims.items()) == 15
+    least, stated = {}, {}
+    for (f, vf), g in claims.items():
+        assert _meets_its_order(g)
+        d, n1 = g.order()
+        start = max(vf, n1)
         key = (render(f), vf)
-        least[key] = next(d for d in range(10) if _rank([values[m : m + d + 1] for m in range(30)]) <= d)
-        bound[key] = _order_bound(f)
-    assert least == bound
+        values = [f.eval(n) for n in range(start, start + 40)]
+        least[key] = next(d for d in range(10) if _fits(values, d))
+        stated[key] = d
+    assert least == stated
     power_and_quintic = ("C(n,5)+2C(n,4)+C(n,3)+C(n,2)+1", "2^(n+1)-C(n+1,3)-2n-1",
                          "3*2^(n-1)-C(n+1,2)-1", "(1n-1)*2^(n-2)+1")
     assert [least[r, 1] for r in power_and_quintic] == [6, 5, 4, 3] and max(least.values()) == 6
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(_SMALL, _SMALL, st.integers(0, 5)), max_size=4), _SMALL, _SMALL, _SMALL, _SMALL)
+def test_random_binomial_polys_meet_their_order(terms, constant, lin_a, lin_b, shift):
+    assert _meets_its_order(BinomialPoly(tuple(terms), constant, lin_a, lin_b, shift))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_SMALL, max_size=5), st.lists(_SMALL, max_size=4))
+def test_random_rational_gfs_meet_their_order(num, den_tail):
+    assert _meets_its_order(RationalGF(tuple(num), (1, *den_tail)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 3), _SMALL, _SMALL)
+def test_random_fibonacci_forms_meet_their_order(stretch, offset, addend):
+    assert _meets_its_order(FibonacciForm(stretch, offset, addend))
